@@ -29,9 +29,16 @@ event count on every event and the wall clock every ``check_every``
 events, raising :class:`~repro.util.budget.EventBudgetExceeded` or
 :class:`~repro.util.budget.WallClockExceeded` so a runaway or hung
 replay surfaces as a structured, recoverable failure instead of
-stalling a study worker forever.  Network models with long scheduling
-loops outside the event loop call :meth:`EventEngine.check_budget` at
-checkpoints so the deadline also covers time spent *between* events.
+stalling a study worker forever.  Network models call
+:meth:`EventEngine.check_budget` once per transfer so the deadline also
+covers time spent *between* events.
+
+A model that knows an entry's (time, sequence) key before it needs the
+entry queued — the packet model's trains, see :mod:`repro.sim.packet`
+— can :meth:`~EventEngine.reserve` sequence numbers up front and
+:meth:`~EventEngine.push` each entry lazily, keeping at most two heap
+entries per message in flight instead of one per packet, without
+changing the dispatch order.
 """
 
 from __future__ import annotations
@@ -111,8 +118,8 @@ class EventEngine:
     def check_budget(self) -> None:
         """Raise :class:`WallClockExceeded` if the armed deadline passed.
 
-        Network models call this from long scheduling loops (per-packet
-        fan-out) that spend wall time outside the event loop proper.
+        Network models call this once per transfer, so wall time spent
+        launching messages outside the event loop proper is covered too.
         """
         if self._wall_deadline is not None and time.perf_counter() > self._wall_deadline:
             raise WallClockExceeded(
@@ -129,17 +136,42 @@ class EventEngine:
         the batched drain is dispatching a pool at exactly ``when``, the
         callback joins the live pool directly: had it been heappushed it
         would carry a sequence number above every entry already drained,
-        so tail-append *is* heap order — which is also why the fast path
-        can skip consuming a sequence number at all (pool order is
-        append order; heap entries stay strictly monotonic without it).
+        so tail-append *is* heap order.
+        """
+        self._seq += 1
+        self.push(when, self._seq, callback)
+
+    def reserve(self, n: int) -> int:
+        """Claim the ``n`` sequence numbers ``n`` :meth:`schedule` calls would take.
+
+        Returns the first; the caller owns ``base .. base + n - 1`` and
+        enqueues each entry later with :meth:`push`.  Later
+        :meth:`schedule` calls sort after all of them, exactly as if the
+        ``n`` entries had been scheduled now.
+        """
+        base = self._seq + 1
+        self._seq += n
+        return base
+
+    def push(self, when: float, seq: int, callback: Callable[[], None]) -> None:
+        """Enqueue ``callback`` at ``when`` under ``seq`` from :meth:`reserve`.
+
+        Follows :meth:`schedule`'s rule: at exactly the live batch's
+        timestamp the callback joins the pool, anywhere else it goes on
+        the heap with the given ``seq``.  Dispatch order then equals
+        scheduling every reserved entry up front, provided the caller
+        pushes each entry before the clock reaches ``when`` — or, at
+        ``when == now``, only with a ``seq`` above everything already
+        queued at ``now``.  Only the past-time half is checked here (the
+        same conservative-execution guard as :meth:`schedule`); callers
+        (the packet model's trains) guarantee the rest by construction.
         """
         if when < self._now - 1e-15:
             raise ValueError(f"cannot schedule at {when} before current time {self._now}")
         if self._batch_active and when == self._batch_when:
             self._batch.append(callback)
             return
-        self._seq += 1
-        heapq.heappush(self._queue, (when, self._seq, callback))
+        heapq.heappush(self._queue, (when, seq, callback))
 
     def run(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
         """Drain the queue, enforcing the event and wall-clock budgets.

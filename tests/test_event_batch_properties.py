@@ -12,8 +12,14 @@ The plans generated here are two-level trees: top-level events at
 times drawn from a small pool (forcing heavy timestamp collisions),
 each optionally scheduling children at non-negative offsets when it
 runs — offset ``0.0`` lands exactly on the live batch.
+
+The train plans at the end check the lazy-push contract the packet
+model relies on: entries enqueued later with :meth:`EventEngine.push`
+under sequence numbers from :meth:`EventEngine.reserve` dispatch exactly
+as if every entry had been scheduled up front.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -158,3 +164,122 @@ class TestInBatchScheduling:
         _, scalar = execute_plan(plan, vectorized=False)
         _, batched = execute_plan(plan, vectorized=True)
         assert batched.events_processed == scalar.events_processed == 8
+
+
+#: A train: ``gaps`` spaces its chained entries (strictly increasing
+#: times), ``tail`` is its last entry's offset from the first (any
+#: non-negative value, so it may tie or precede chained entries) or
+#: ``None`` for a train without one.  Children are what the first
+#: entry starts when it fires: each a plain event or (flag set) a
+#: two-entry train; offset ``0.0`` lands on the live batch.
+GAPS = st.lists(st.sampled_from([0.25, 0.5, 1.0]), max_size=3)
+TAILS = st.one_of(st.none(), st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]))
+TRAIN_CHILDREN = st.lists(st.tuples(OFFSETS, st.booleans()), max_size=3)
+TRAINS = st.lists(
+    st.tuples(TIMES, GAPS, TAILS, TRAIN_CHILDREN), min_size=1, max_size=6
+)
+
+
+def execute_trains(plan, vectorized, lazy):
+    """Run a train plan; return [(label, now)] in dispatch order.
+
+    Eager mode schedules every entry of a train with :meth:`schedule`
+    when the train starts.  Lazy mode ``reserve``s the train's sequence
+    numbers, pushes its first entry and its tail, and has each chained
+    entry push its successor when it fires — the packet model's
+    contract.
+    """
+    engine = EventEngine(vectorized=vectorized)
+    order = []
+
+    def start_train(label, when, gaps, tail, children):
+        times = [when]
+        for gap in gaps:
+            times.append(times[-1] + gap)
+        entries = [(t, (label, k)) for k, t in enumerate(times)]
+        if tail is not None:
+            entries.append((when + tail, (label, "tail")))
+        if not lazy:
+            for k, (t, tag) in enumerate(entries):
+                engine.schedule(t, fire(tag, children if k == 0 else [], None))
+            return
+        base = engine.reserve(len(entries))
+        chained = len(times)
+
+        def successor(k):
+            if k + 1 >= chained:
+                return None
+            return lambda: engine.push(
+                times[k + 1], base + k + 1,
+                fire(entries[k + 1][1], [], successor(k + 1)),
+            )
+
+        engine.push(times[0], base, fire(entries[0][1], children, successor(0)))
+        if tail is not None:
+            engine.push(entries[-1][0], base + chained, fire(entries[-1][1], [], None))
+
+    def fire(tag, children, then):
+        def callback():
+            order.append((tag, engine.now))
+            for i, (offset, nested) in enumerate(children):
+                child = (tag, "child", i)
+                if nested:
+                    start_train(child, engine.now + offset, [0.5], 0.0, [])
+                else:
+                    engine.schedule(engine.now + offset, fire(child, [], None))
+            if then is not None:
+                then()
+        return callback
+
+    for label, (when, gaps, tail, children) in enumerate(plan):
+        start_train(label, when, gaps, tail, children)
+    engine.run()
+    return order, engine
+
+
+class TestReservedPushOrder:
+    """``reserve`` + lazy ``push`` dispatches exactly like scheduling
+    every entry up front, in both drains."""
+
+    @given(plan=TRAINS)
+    @relaxed
+    def test_lazy_push_matches_up_front_schedule(self, plan):
+        reference, ref_engine = execute_trains(plan, vectorized=False, lazy=False)
+        for vectorized in (False, True):
+            for lazy in (False, True):
+                order, engine = execute_trains(plan, vectorized, lazy)
+                assert order == reference, f"vectorized={vectorized} lazy={lazy}"
+                assert engine.events_processed == ref_engine.events_processed
+                assert engine.now == ref_engine.now
+
+    def test_push_at_live_batch_time_joins_the_pool(self):
+        """At ``when == now`` inside a batch, push appends to the pool
+        (no heap entry) and the entry runs in the same sweep."""
+        engine = EventEngine(vectorized=True)
+        order = []
+
+        def parent():
+            order.append("parent")
+            depth = len(engine._queue)
+            engine.push(engine.now, engine.reserve(1), lambda: order.append("pushed"))
+            assert len(engine._queue) == depth
+            engine.schedule(engine.now, lambda: order.append("scheduled"))
+
+        engine.schedule(1.0, parent)
+        engine.schedule(2.0, lambda: order.append("later"))
+        engine.run()
+        assert order == ["parent", "pushed", "scheduled", "later"]
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_push_before_now_raises(self, vectorized):
+        engine = EventEngine(vectorized=vectorized)
+        engine.schedule(1.0, lambda: engine.push(0.5, engine.reserve(1), lambda: None))
+        with pytest.raises(ValueError, match="before current time"):
+            engine.run()
+
+    def test_reserve_hands_out_the_next_schedule_numbers(self):
+        engine = EventEngine(vectorized=False)
+        engine.schedule(1.0, lambda: None)
+        base = engine.reserve(3)
+        engine.schedule(1.0, lambda: None)
+        assert [seq for _, seq, _ in sorted(engine._queue)] == [base - 1, base + 3]

@@ -23,6 +23,10 @@ from repro.mfact import ConfigGrid
 from repro.trace.dumpi import dumps, loads
 from repro.workloads import generate_doe, generate_npb
 
+#: Total traffic (the ``TB`` feature) from which a record "moves bytes"
+#: for the Table II event ranking.
+MOVES_BYTES = 1 << 20
+
 
 @pytest.fixture(scope="module")
 def mini_study():
@@ -90,6 +94,21 @@ class TestPipeline:
             if r.mfact.walltime <= min(s.walltime for s in r.sims.values() if s.completed)
         )
         assert wins >= len(mini_study) - 1
+
+    def test_table2_event_cost_ranking(self, mini_study):
+        """Table II's tool-cost order, packet >= flow >= packet-flow, on
+        the deterministic cost records carry: engine events.  Packet
+        events grow with bytes and flow events with messages, so the
+        order holds wherever traffic is real; near-silent records (EP,
+        CMC: a few KiB of small collectives, one packet per message)
+        are excluded because flow's rate updates outnumber their
+        packets.  Unlike the walltime checks, this one does not depend
+        on host load."""
+        moving = [r for r in mini_study if r.features["TB"] >= MOVES_BYTES]
+        assert len(moving) >= len(mini_study) - 3
+        for r in moving:
+            events = {model: run.events for model, run in r.sims.items()}
+            assert events["packet"] >= events["flow"] >= events["packet-flow"], (r.name, events)
 
     def test_measured_above_predictions_mostly(self, mini_study):
         above = sum(1 for r in mini_study if r.measured_total >= r.mfact.total_time)

@@ -311,6 +311,13 @@ class TestSimResultAccounting:
         assert res.compute_time == pytest.approx(0.001, rel=0.05)
         assert res.comm_time > 0
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_times_are_builtin_floats(self, model):
+        """No numpy scalar leaks out of an engine into a SimResult."""
+        res = simulate_trace(make_trace(), CIELITO, model)
+        assert type(res.total_time) is float
+        assert type(res.comm_time) is float
+
     def test_messages_and_bytes(self):
         res = simulate_trace(make_trace(nranks=4, nbytes=1000), CIELITO, "packet-flow")
         assert res.messages >= 4
