@@ -5,7 +5,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check lint lint-changed lint-baseline test chaos chaos-serve \
-        obs-check bench bench-lint bench-sim bench-sensitivity clean-cache
+        obs-check bench bench-lint bench-sim bench-sensitivity studybench-smoke \
+        clean-cache
 
 check: lint test
 
@@ -70,6 +71,12 @@ bench-sim:
 # everywhere (it must also match every replayed total within 1e-6).
 bench-sensitivity:
 	$(PYTHON) -m repro.bench.sensitivity --out BENCH_10.json --check
+
+# End-to-end study benchmark smoke tests (~20 s): every workload at
+# smoke size against its golden digests, plus the traced boundaries, so
+# a renamed traced function or a changed digest fails here first.
+studybench-smoke:
+	$(PYTHON) -m pytest studybench/tests -q
 
 clean-cache:
 	rm -rf .cache

@@ -250,10 +250,18 @@ class SimReplay:
         self._kind_obs: Optional[Dict[OpKind, List[float]]] = (
             {} if obs.enabled() else None
         )
-        if self._compiled is not None and self._kind_obs is None:
-            # Bind the dispatch once: every _deliver-triggered advance
-            # skips the mode test and wrapper frame.
-            self._advance = self._advance_fast
+        # Pick the dispatch once: the compiled-stream fast loop when
+        # shared precomputation is attached and per-op tallies are off,
+        # else the reference loop (the behavioral specification both
+        # must match, enforced by the differential equivalence suite).
+        # The plain function is stored, not a bound method: a bound
+        # method on the instance is a reference cycle that would leave
+        # every finished replay to the cyclic GC.
+        self._advance_impl = (
+            SimReplay._advance_fast
+            if self._compiled is not None and self._kind_obs is None
+            else SimReplay._advance_ref
+        )
 
     def _tally_op(self, kind: OpKind, t0: float) -> None:
         ent = self._kind_obs.get(kind)
@@ -295,7 +303,7 @@ class SimReplay:
                 clk[dst] = arrived
                 self._blocked[dst] = None
                 self._ip[dst] += 1
-                self._advance(dst)
+                self._advance_impl(self, dst)
             else:
                 self._requests[dst][ident] = ("irecv", when)
                 blocked = self._blocked[dst]
@@ -307,22 +315,11 @@ class SimReplay:
                     del self._requests[dst][ident]
                     self._blocked[dst] = None
                     self._ip[dst] += 1
-                    self._advance(dst)
+                    self._advance_impl(self, dst)
         else:
             chan.deliveries.append(when)
 
     # -- op execution --------------------------------------------------------
-
-    def _advance(self, rank: int) -> None:
-        """Run ``rank`` forward until it blocks, defers to an event, or ends.
-
-        Dispatches to the compiled-stream fast loop when shared
-        precomputation is attached and per-op tallies are off (the
-        fast case is bound directly over this method in ``__init__``);
-        the reference loop below is the behavioral specification both
-        must match (enforced by the differential equivalence suite).
-        """
-        self._advance_ref(rank)
 
     def _advance_fast(self, rank: int) -> None:
         """Compiled-stream twin of :meth:`_advance_ref`.
@@ -548,7 +545,7 @@ class SimReplay:
         budget = budget if budget is not None else Budget()
         self.engine.set_wall_deadline(budget.wall_seconds)
         for rank in range(self.original.nranks):
-            self._advance(rank)
+            self._advance_impl(self, rank)
         self.engine.run(
             max_events=budget.events if budget.events is not None else DEFAULT_MAX_EVENTS
         )

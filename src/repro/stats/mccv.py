@@ -100,6 +100,10 @@ def monte_carlo_cv(
     if n < 5:
         raise ValueError("need at least 5 observations")
     names = list(feature_names)
+    # Name -> design-matrix column, first occurrence (as ``list.index``).
+    column: Dict[str, int] = {}
+    for j, name in enumerate(names):
+        column.setdefault(name, j)
     n_train = max(2, int(round(train_fraction * n)))
     confusions: List[ConfusionCounts] = []
     selected_count: Dict[str, int] = {name: 0 for name in names}
@@ -121,7 +125,7 @@ def monte_carlo_cv(
         for name, coef in zip(result.model.feature_names, result.model.coef[1:]):
             selected_count[name] += 1
             coef_sums[name] += float(coef)
-        cols = [names.index(s) for s in result.selected]
+        cols = [column[s] for s in result.selected]
         if cols:
             preds = result.model.predict(X[np.ix_(test_idx, cols)])
         else:

@@ -9,11 +9,11 @@ and multi-collinearity) is reached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.stats.logistic import LogisticModel, fit_logistic
+from repro.stats.logistic import LogisticModel, fit_logistic, fit_logistic_batch
 
 __all__ = ["StepwiseResult", "stepwise_forward", "MAX_VARIABLES"]
 
@@ -51,25 +51,31 @@ def stepwise_forward(
     best_aic = current_model.aic()
     remaining = list(range(len(names)))
     while remaining and len(chosen) < max_vars:
-        best_candidate = None
+        # Every candidate of this step in one lockstep IRLS batch.  The
+        # AIC is ``LogisticModel.aic``'s and ties go to the earliest
+        # candidate in ``remaining`` order; only the winner becomes a model.
+        coef, ll, converged = fit_logistic_batch(
+            [X[:, chosen + [j]] for j in remaining], y, ridge=ridge
+        )
+        n_params = len(chosen) + 2  # intercept, chosen, candidate
+        best = None
         best_candidate_aic = best_aic
-        best_candidate_model = None
-        for j in remaining:
-            cols = chosen + [j]
-            model = fit_logistic(
-                X[:, cols], y, tuple(names[c] for c in cols), ridge=ridge
-            )
-            candidate_aic = model.aic()
+        for i in range(len(remaining)):
+            candidate_aic = 2.0 * n_params - 2.0 * float(ll[i])
             if candidate_aic < best_candidate_aic - 1e-9:
-                best_candidate = j
+                best = i
                 best_candidate_aic = candidate_aic
-                best_candidate_model = model
-        if best_candidate is None:
+        if best is None:
             break
-        chosen.append(best_candidate)
-        remaining.remove(best_candidate)
+        chosen.append(remaining.pop(best))
         best_aic = best_candidate_aic
-        current_model = best_candidate_model
+        current_model = LogisticModel(
+            coef=coef[best].copy(),
+            feature_names=tuple(names[c] for c in chosen),
+            log_likelihood=float(ll[best]),
+            n_obs=X.shape[0],
+            converged=bool(converged[best]),
+        )
         aic_path.append(best_aic)
     return StepwiseResult(
         selected=tuple(names[c] for c in chosen),

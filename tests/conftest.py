@@ -64,3 +64,44 @@ def fabricate_records(n=60, seed=0):
 def fabricate():
     """Factory fixture: build synthetic study records."""
     return fabricate_records
+
+
+@pytest.fixture(scope="session")
+def mini_study():
+    """A 12-trace miniature of the study pipeline, measured for real.
+
+    Shared by the integration tests and the stepwise oracle test; the
+    records are read-only.
+    """
+    from repro import CIELITO, EDISON, HOPPER, measure_trace, synthesize_ground_truth
+    from repro.workloads import generate_doe, generate_npb
+
+    cases = [
+        (generate_npb, "EP", 0.02, 0.02, CIELITO),
+        (generate_npb, "EP", 0.03, 0.30, HOPPER),
+        (generate_npb, "CG", 0.001, 0.05, EDISON),
+        (generate_npb, "CG", 0.002, 0.05, CIELITO),
+        (generate_npb, "FT", 0.003, 0.05, HOPPER),
+        (generate_npb, "LU", 0.003, 0.40, EDISON),
+        (generate_doe, "CMC", 0.02, 0.35, CIELITO),
+        (generate_doe, "CR", 0.002, 0.15, HOPPER),
+        (generate_doe, "FB", 0.001, 0.20, EDISON),
+        (generate_doe, "LULESH", 0.008, 0.04, CIELITO),
+        (generate_doe, "MiniFE", 0.01, 0.04, HOPPER),
+        (generate_doe, "Nekbone", 0.001, 0.06, EDISON),
+    ]
+    records = []
+    for i, (gen, app, compute, imbalance, machine) in enumerate(cases):
+        trace = gen(
+            app, 32, machine, seed=500 + i, compute_per_iter=compute,
+            imbalance=imbalance, ranks_per_node=1,
+        )
+        synthesize_ground_truth(trace, machine, seed=500 + i)
+        # Measured on the scalar reference path: the integration tests'
+        # ranking checks reproduce the paper's tool-execution-cost
+        # claims, which are about the tools as modeled — the vectorized
+        # engines narrow the sim-vs-MFACT walltime gap on traces this
+        # small by design (canonical record content is identical either
+        # way).
+        records.append(measure_trace(trace, spec_index=i, sim_vectorized=False))
+    return records

@@ -1,9 +1,13 @@
 """Simulator tests: event engine, fabric, and the three network models."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.machines import CIELITO, EDISON, HOPPER
+from repro.sim.mpi_replay import ReplayShared
 from repro.sim import (
     EventEngine,
     Fabric,
@@ -322,3 +326,24 @@ class TestSimResultAccounting:
         res = simulate_trace(make_trace(nranks=4, nbytes=1000), CIELITO, "packet-flow")
         assert res.messages >= 4
         assert res.bytes_sent >= 4000
+
+
+class TestReplayLifetime:
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-prep", "shared-prep"])
+    def test_finished_replay_freed_by_refcount(self, model, shared):
+        """A finished replay holds no reference cycle, so dropping the
+        last reference frees it without the cyclic GC (the fast dispatch
+        is picked with shared precomputation)."""
+        trace = make_trace()
+        prep = ReplayShared(trace, CIELITO) if shared else None
+        gc.collect()
+        gc.disable()
+        try:
+            replay = SimReplay(trace, CIELITO, model, shared=prep)
+            replay.run()
+            ref = weakref.ref(replay)
+            del replay
+            assert ref() is None
+        finally:
+            gc.enable()
