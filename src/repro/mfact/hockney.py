@@ -5,8 +5,9 @@ latency ``alpha`` and bandwidth ``B`` (Hockney's model): a message of
 ``m`` bytes costs ``alpha + m / B``.  Its signature feature is replaying
 one trace while maintaining logical clocks for *many* network
 configurations concurrently; :class:`ConfigGrid` is that set of
-configurations, stored as parallel numpy arrays so every clock update is
-one vectorized expression.
+configurations, stored as parallel numpy arrays so every clock update of
+a sweep is one vectorized expression (a one-configuration grid replays
+on plain floats).
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 The engine replays a trace once while maintaining, for every rank, one
 Lamport-style logical clock **per network configuration** (an extension
 of Lamport's scheme with non-unit computation and communication times,
-Section IV-A).  Clocks are numpy vectors over the :class:`ConfigGrid`,
-so a single replay prices the application on every configuration.
+Section IV-A).  Clocks are numpy rows over the :class:`ConfigGrid`
+(plain floats when the grid holds one configuration), so a single
+replay prices the application on every configuration.
 
 Semantics
 ---------
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +62,18 @@ _SYNC_COLLECTIVES = frozenset(
 )
 
 
+# Enum attribute lookups cost ~0.1 us each; ``_step`` compares against
+# these module constants instead.
+_COMPUTE, _SEND, _ISEND, _RECV, _IRECV, _WAIT = (
+    OpKind.COMPUTE,
+    OpKind.SEND,
+    OpKind.ISEND,
+    OpKind.RECV,
+    OpKind.IRECV,
+    OpKind.WAIT,
+)
+
+
 class ReplayDeadlockError(RuntimeError):
     """Raised when the trace cannot make progress (invalid matching)."""
 
@@ -71,12 +84,21 @@ class _Channel:
     __slots__ = ("messages", "slots")
 
     def __init__(self):
-        self.messages: Deque[np.ndarray] = deque()  # availability clocks
+        self.messages: Deque[Any] = deque()  # availability clocks
         self.slots: Deque[Tuple[str, int]] = deque()  # ("recv", rank) | ("irecv", req)
 
 
 class LogicalClockReplay:
-    """One MFACT replay of a trace on a machine over a configuration grid."""
+    """One MFACT replay of a trace on a machine over a configuration grid.
+
+    Per-rank state (clock, NIC serialization horizons, the four counters)
+    lives in plain lists with one value per rank: a Python float when
+    the grid has one configuration, a 1-D numpy row over the grid
+    otherwise.  Values are never updated in place, only rebound
+    (``c[r] = c[r] + x``), so a stored value is its own snapshot.
+    :meth:`run` stacks the lists into the ``(nranks, nconfigs)``
+    :attr:`clk` and :attr:`counters` arrays at the end.
+    """
 
     def __init__(
         self,
@@ -91,30 +113,42 @@ class LogicalClockReplay:
         self._rec = recorder
         n = trace.nranks
         k = len(self.grid)
-        self._lat = self.grid.latency.copy()
-        self._inv_bw = 1.0 / self.grid.bandwidth
-        self._scale = self.grid.compute_scale.copy()
+        inv_bw = 1.0 / self.grid.bandwidth
+        if k == 1:
+            # One configuration: float arithmetic and builtin max/min
+            # cost ~10 ns where a numpy call on a length-1 row costs ~1 us.
+            self._lat = float(self.grid.latency[0])
+            self._inv_bw = float(inv_bw[0])
+            self._scale = float(self.grid.compute_scale[0])
+            self._max, self._min = max, min
+            zero = 0.0
+        else:
+            self._lat = self.grid.latency.copy()
+            self._inv_bw = inv_bw
+            self._scale = self.grid.compute_scale.copy()
+            self._max, self._min = np.maximum, np.minimum
+            zero = np.zeros(k)
         self._overhead = machine.software_overhead
+        self._clk = [zero] * n
+        self._inj = [zero] * n  # per-rank outgoing NIC serialization
+        self._ej = [zero] * n  # per-rank incoming NIC serialization
+        self._compute = [zero] * n
+        self._latency = [zero] * n
+        self._bandwidth = [zero] * n
+        self._wait = [zero] * n
         self.clk = np.zeros((n, k))
-        self._inj = np.zeros((n, k))  # per-rank outgoing NIC serialization
-        self._ej = np.zeros((n, k))  # per-rank incoming NIC serialization
         self.counters = CounterSet(n, k)
         self._ip = [0] * n
         self._channels: Dict[Tuple[int, int, int], _Channel] = {}
         # Per-rank request table:
         # req id -> ("isend", None, 0) | ("irecv", avail-or-None, nbytes)
-        self._requests: List[Dict[int, Tuple[str, Optional[np.ndarray], int]]] = [
-            {} for _ in range(n)
-        ]
+        self._requests: List[Dict[int, Tuple[str, Any, int]]] = [{} for _ in range(n)]
         self._blocked: List[Optional[Tuple]] = [None] * n  # why a rank is parked
-        # Collective rendezvous: (comm, instance) -> list of (rank, clk snapshot)
-        self._coll_seen: List[int] = [0] * n  # per-rank collective instance counter per comm
-        self._coll_counts: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
+        # Collective rendezvous: (comm, instance) -> {rank: clock at arrival}
+        self._coll_counts: Dict[Tuple[int, int], Dict[int, Any]] = {}
         self._coll_instance: List[Dict[int, int]] = [dict() for _ in range(n)]
         self._runnable: Deque[int] = deque()
         self._queued = [False] * n
-        self._finished = 0
-        self._coll_messages = 0
 
     # -- channel helpers -------------------------------------------------
 
@@ -132,7 +166,7 @@ class LogicalClockReplay:
 
     # -- message completion ------------------------------------------------
 
-    def _complete_recv(self, rank: int, avail: np.ndarray, nbytes: int, posted: bool) -> None:
+    def _complete_recv(self, rank: int, avail, nbytes: int) -> None:
         """Advance ``rank``'s clock past a message and attribute counters.
 
         ``avail`` is the fully-injected time at the sender (the Hockney
@@ -140,34 +174,33 @@ class LogicalClockReplay:
         latency ``alpha``.  The clock advance is decomposed into the
         wait / latency / bandwidth counters for sensitivity tracking.
         """
-        o = self._overhead
-        row = self.clk[rank]
-        ready = row + o
+        mx, mn = self._max, self._min
+        ready = self._clk[rank] + self._overhead
         bw_term = nbytes * self._inv_bw
         # The payload drains serially through the receiving rank's NIC:
         # ``avail`` carries the header-at-receiver time (injection start
         # plus wire latency was added by the sender).
-        arrived = np.maximum(avail, self._ej[rank]) + bw_term
+        arrived = mx(avail, self._ej[rank]) + bw_term
         self._ej[rank] = arrived
-        new = np.maximum(ready, arrived)
+        new = mx(ready, arrived)
         delta = new - ready
-        bw_part = np.minimum(delta, bw_term)
-        lat_part = np.clip(delta - bw_term, 0.0, self._lat)
+        bw_part = mn(delta, bw_term)
+        lat_part = mn(mx(delta - bw_term, 0.0), self._lat)
         wait_part = delta - bw_part - lat_part
-        c = self.counters
-        c.bandwidth[rank] += bw_part
-        c.latency[rank] += lat_part
-        c.wait[rank] += wait_part
-        self.clk[rank] = new
+        bw, lat, wait = self._bandwidth, self._latency, self._wait
+        bw[rank] = bw[rank] + bw_part
+        lat[rank] = lat[rank] + lat_part
+        wait[rank] = wait[rank] + wait_part
+        self._clk[rank] = new
 
-    def _deliver(self, src: int, dst: int, tag: int, avail: np.ndarray, nbytes: int) -> None:
+    def _deliver(self, src: int, dst: int, tag: int, avail, nbytes: int) -> None:
         """A send became available; match it or queue it."""
         chan = self._channel(src, dst, tag)
         if chan.slots:
             kind, ident = chan.slots.popleft()
             if kind == "recv":
                 # dst is parked in a blocking recv on this channel.
-                self._complete_recv(dst, avail, nbytes, posted=False)
+                self._complete_recv(dst, avail, nbytes)
                 if self._rec is not None:
                     self._rec.on_recv_complete(dst, src, tag, nbytes)
                 self._blocked[dst] = None
@@ -180,7 +213,7 @@ class LogicalClockReplay:
                     self._rec.on_irecv_bind(dst, src, tag, ident)
                 blocked = self._blocked[dst]
                 if blocked is not None and blocked[0] == "wait" and blocked[1] == ident:
-                    self._complete_recv(dst, avail, nbytes, posted=True)
+                    self._complete_recv(dst, avail, nbytes)
                     if self._rec is not None:
                         self._rec.on_wait_complete(dst, ident, nbytes)
                     del self._requests[dst][ident]
@@ -198,7 +231,7 @@ class LogicalClockReplay:
         inst = self._coll_instance[rank].get(op.comm, 0)
         key = (op.comm, inst)
         arrived = self._coll_counts.setdefault(key, {})
-        arrived[rank] = self.clk[rank].copy()
+        arrived[rank] = self._clk[rank]
         if len(arrived) < len(members):
             self._blocked[rank] = ("coll", key)
             return False
@@ -212,30 +245,30 @@ class LogicalClockReplay:
                 self._wake(r)
         return True
 
-    def _fire_collective(self, op, members, arrived: Dict[int, np.ndarray]) -> None:
+    def _fire_collective(self, op, members, arrived: Dict[int, Any]) -> None:
         p = len(members)
         cost = collective_cost(op.kind, p, op.nbytes)
         o = self._overhead
+        mx, mn = self._max, self._min
         lat_share = cost.alpha_count * self._lat
         bw_share = cost.bytes_on_wire * self._inv_bw
         total = lat_share + bw_share
-        c = self.counters
-        self._coll_messages += 1
+        clk, lat, bw, wait = self._clk, self._latency, self._bandwidth, self._wait
         if self._rec is not None:
             self._rec.on_collective(
                 op.kind, members, op.peer, op.nbytes, cost.alpha_count, cost.bytes_on_wire
             )
         if op.kind in _SYNC_COLLECTIVES:
             peak = None
-            for clk in arrived.values():
-                peak = clk if peak is None else np.maximum(peak, clk)
+            for value in arrived.values():
+                peak = value if peak is None else mx(peak, value)
             for r in members:
                 start = arrived[r] + o
-                done = np.maximum(peak + o, start) + total
-                c.wait[r] += done - start - total
-                c.latency[r] += lat_share
-                c.bandwidth[r] += bw_share
-                self.clk[r] = done
+                done = mx(peak + o, start) + total
+                wait[r] = wait[r] + (done - start - total)
+                lat[r] = lat[r] + lat_share
+                bw[r] = bw[r] + bw_share
+                clk[r] = done
             return
         root = op.peer
         if op.kind in (OpKind.BCAST, OpKind.SCATTER):
@@ -244,36 +277,36 @@ class LogicalClockReplay:
                 start = arrived[r] + o
                 if r == root:
                     done = root_done
-                    c.latency[r] += lat_share
-                    c.bandwidth[r] += bw_share
+                    lat[r] = lat[r] + lat_share
+                    bw[r] = bw[r] + bw_share
                 else:
-                    done = np.maximum(start, root_done)
+                    done = mx(start, root_done)
                     delta = done - start
-                    bw_part = np.minimum(delta, bw_share)
-                    lat_part = np.clip(delta - bw_share, 0.0, lat_share)
-                    c.bandwidth[r] += bw_part
-                    c.latency[r] += lat_part
-                    c.wait[r] += delta - bw_part - lat_part
-                self.clk[r] = done
+                    bw_part = mn(delta, bw_share)
+                    lat_part = mn(mx(delta - bw_share, 0.0), lat_share)
+                    bw[r] = bw[r] + bw_part
+                    lat[r] = lat[r] + lat_part
+                    wait[r] = wait[r] + (delta - bw_part - lat_part)
+                clk[r] = done
             return
         # REDUCE / GATHER: root completes after everyone plus the tree cost;
         # non-roots leave after contributing their own single message.
         own = self._lat + op.nbytes * self._inv_bw
         peak = None
-        for clk in arrived.values():
-            peak = clk if peak is None else np.maximum(peak, clk)
+        for value in arrived.values():
+            peak = value if peak is None else mx(peak, value)
         for r in members:
             start = arrived[r] + o
             if r == root:
-                done = np.maximum(peak + o, start) + total
-                c.wait[r] += done - start - total
-                c.latency[r] += lat_share
-                c.bandwidth[r] += bw_share
+                done = mx(peak + o, start) + total
+                wait[r] = wait[r] + (done - start - total)
+                lat[r] = lat[r] + lat_share
+                bw[r] = bw[r] + bw_share
             else:
                 done = start + own
-                c.latency[r] += self._lat
-                c.bandwidth[r] += op.nbytes * self._inv_bw
-            self.clk[r] = done
+                lat[r] = lat[r] + self._lat
+                bw[r] = bw[r] + op.nbytes * self._inv_bw
+            clk[r] = done
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -322,51 +355,54 @@ class LogicalClockReplay:
         op = ops[self._ip[rank]]
         kind = op.kind
         o = self._overhead
-        if kind == OpKind.COMPUTE:
+        clk = self._clk
+        if kind == _COMPUTE:
             work = op.duration * self._scale
-            self.clk[rank] += work
-            self.counters.compute[rank] += work
+            clk[rank] = clk[rank] + work
+            comp = self._compute
+            comp[rank] = comp[rank] + work
             if self._rec is not None:
                 self._rec.on_compute(rank, op.duration)
-        elif kind == OpKind.SEND:
+        elif kind == _SEND:
             # The rank's NIC serializes its outgoing messages; a blocking
             # send returns once the payload is fully injected.
             bw_term = op.nbytes * self._inv_bw
-            start = self.clk[rank] + o
-            inj_start = np.maximum(self._inj[rank], start)
+            start = clk[rank] + o
+            inj_start = self._max(self._inj[rank], start)
             inj_done = inj_start + bw_term
             self._inj[rank] = inj_done
-            self.counters.bandwidth[rank] += bw_term
-            self.counters.wait[rank] += inj_start - start
-            self.clk[rank] = inj_done.copy()
+            bw, wait = self._bandwidth, self._wait
+            bw[rank] = bw[rank] + bw_term
+            wait[rank] = wait[rank] + (inj_start - start)
+            clk[rank] = inj_done
             if self._rec is not None:
                 self._rec.on_send(rank, op.peer, op.tag, op.nbytes, blocking=True)
             # Header reaches the receiver one wire latency after injection
             # starts; the receiver pays the bandwidth term while draining.
             self._deliver(rank, op.peer, op.tag, inj_start + self._lat, op.nbytes)
-        elif kind == OpKind.ISEND:
+        elif kind == _ISEND:
             # Injection overlaps with local progress; only overhead is paid.
             bw_term = op.nbytes * self._inv_bw
-            inj_start = np.maximum(self._inj[rank], self.clk[rank] + o)
+            inj_start = self._max(self._inj[rank], clk[rank] + o)
             self._inj[rank] = inj_start + bw_term
-            self.clk[rank] += o
+            clk[rank] = clk[rank] + o
             self._requests[rank][op.req] = ("isend", None, 0)
             if self._rec is not None:
                 self._rec.on_send(rank, op.peer, op.tag, op.nbytes, blocking=False)
             self._deliver(rank, op.peer, op.tag, inj_start + self._lat, op.nbytes)
-        elif kind == OpKind.RECV:
+        elif kind == _RECV:
             chan = self._channel(op.peer, rank, op.tag)
             if chan.messages:
                 avail = chan.messages.popleft()
-                self._complete_recv(rank, avail, op.nbytes, posted=False)
+                self._complete_recv(rank, avail, op.nbytes)
                 if self._rec is not None:
                     self._rec.on_recv_complete(rank, op.peer, op.tag, op.nbytes)
             else:
                 chan.slots.append(("recv", rank))
                 self._blocked[rank] = ("recv", (op.peer, rank, op.tag))
                 return False
-        elif kind == OpKind.IRECV:
-            self.clk[rank] += o
+        elif kind == _IRECV:
+            clk[rank] = clk[rank] + o
             if self._rec is not None:
                 self._rec.on_overhead(rank)
             chan = self._channel(op.peer, rank, op.tag)
@@ -378,7 +414,7 @@ class LogicalClockReplay:
             else:
                 chan.slots.append(("irecv", op.req))
                 self._requests[rank][op.req] = ("irecv", None, op.nbytes)
-        elif kind == OpKind.WAIT:
+        elif kind == _WAIT:
             entry = self._requests[rank].get(op.req)
             if entry is None:
                 raise ReplayDeadlockError(
@@ -386,12 +422,12 @@ class LogicalClockReplay:
                 )
             state, avail, nbytes = entry
             if state == "isend":
-                self.clk[rank] += o
+                clk[rank] = clk[rank] + o
                 if self._rec is not None:
                     self._rec.on_overhead(rank)
                 del self._requests[rank][op.req]
             elif avail is not None:
-                self._complete_recv(rank, avail, nbytes, posted=True)
+                self._complete_recv(rank, avail, nbytes)
                 if self._rec is not None:
                     self._rec.on_wait_complete(rank, op.req, nbytes)
                 del self._requests[rank][op.req]
@@ -404,6 +440,18 @@ class LogicalClockReplay:
             raise ValueError(f"unhandled op kind {kind!r}")
         self._ip[rank] += 1
         return True
+
+    def _stack(self) -> None:
+        """Copy the per-rank values into the ``(nranks, nconfigs)`` arrays."""
+        c = self.counters
+        for dest, values in (
+            (self.clk, self._clk),
+            (c.compute, self._compute),
+            (c.latency, self._latency),
+            (c.bandwidth, self._bandwidth),
+            (c.wait, self._wait),
+        ):
+            dest[...] = np.reshape(values, dest.shape)
 
     def run(self) -> MFACTReport:
         """Replay the whole trace and assemble the report."""
@@ -432,6 +480,7 @@ class LogicalClockReplay:
                 if remaining:
                     stuck = [r for r in range(n) if not done[r]]
                     raise ReplayDeadlockError(self._deadlock_message(stuck))
+                self._stack()
             if obs.enabled():
                 obs.counter("repro_mfact_steps_total").inc(steps)
                 obs.counter("repro_mfact_replays_total").inc()

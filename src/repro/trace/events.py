@@ -15,6 +15,7 @@ DUMPI traces.
 
 from __future__ import annotations
 
+import math
 from enum import IntEnum
 from typing import Iterable, Optional, Tuple
 
@@ -85,7 +86,8 @@ class Op:
         WAIT completes; ``-1`` otherwise.
     duration:
         For COMPUTE ops, the local computation time in seconds as
-        measured in the original run (replay engines may scale it).
+        measured in the original run (replay engines may scale it);
+        finite and non-negative.
     t_entry, t_exit:
         Measured wall-clock entry/exit times of the call in the original
         run, in seconds from application start (``nan`` until the
@@ -108,6 +110,10 @@ class Op:
     ):
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        if not math.isfinite(duration):
+            # NaN would pass the sign check below and poison every
+            # predicted total downstream.
+            raise ValueError(f"duration must be finite, got {duration}")
         if duration < 0:
             raise ValueError(f"duration must be >= 0, got {duration}")
         if kind in P2P_KINDS and peer < 0:

@@ -2,6 +2,7 @@
 scaling projection."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from repro.trace.binary import (
     write_trace_binary,
 )
 from repro.trace.dumpi import dumps as dumps_ascii
+from repro.trace.dumpi import loads as loads_ascii
 from repro.trace.dumpi_import import DATATYPE_SIZES, import_dumpi_ascii, parse_rank_stream
 from repro.trace.events import Op, OpKind
+from repro.trace.trace import TraceSet
 from repro.workloads import generate_doe, generate_npb, synthesize_ground_truth
 
 
@@ -66,6 +69,27 @@ class TestBinaryFormat:
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="REPROTR1"):
             loads_binary(b"NOTATRACE" + b"\x00" * 100)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, bad):
+        """A corrupted duration field fails the load instead of turning
+        every predicted total into NaN."""
+        marker = 0.123456789
+        trace = TraceSet("t", "T", [[Op(OpKind.COMPUTE, duration=marker)]])
+        data = dumps_binary(trace)
+        assert data.count(struct.pack("<d", marker)) == 1
+        corrupt = data.replace(struct.pack("<d", marker), struct.pack("<d", bad))
+        with pytest.raises(ValueError, match="duration must be finite"):
+            loads_binary(corrupt)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_duration_rejected_ascii(self, bad):
+        marker = 0.123456789
+        trace = TraceSet("t", "T", [[Op(OpKind.COMPUTE, duration=marker)]])
+        text = dumps_ascii(trace)
+        assert text.count(marker.hex()) == 1
+        with pytest.raises(ValueError, match="duration must be finite"):
+            loads_ascii(text.replace(marker.hex(), bad))
 
 
 SAMPLE_RANK0 = """\
@@ -143,6 +167,17 @@ class TestDumpiImport:
 
         report = model_trace(trace, CIELITO, ConfigGrid.single(CIELITO))
         assert report.baseline_total_time > 0
+
+    def test_overflowing_walltime_rejected(self):
+        """A walltime that overflows to inf would make an infinite gap."""
+        text = (
+            "MPI_Barrier entering at walltime 1.0, cputime 0\n"
+            "MPI_Barrier returning at walltime 1.5, cputime 0\n"
+            "MPI_Barrier entering at walltime 1e999, cputime 0\n"
+            "MPI_Barrier returning at walltime 1e999, cputime 0\n"
+        )
+        with pytest.raises(ValueError, match="duration must be finite"):
+            parse_rank_stream(text)
 
     def test_unknown_calls_preserved_as_compute(self):
         text = (

@@ -40,6 +40,17 @@ class TestOpConstruction:
         with pytest.raises(ValueError):
             Op(OpKind.COMPUTE, duration=-0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_duration_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Op(OpKind.COMPUTE, duration=bad)
+        with pytest.raises(ValueError, match="finite"):
+            make_compute(bad)
+
+    def test_nan_timestamps_still_allowed(self):
+        op = Op(OpKind.COMPUTE, duration=0.25, t_entry=float("nan"), t_exit=float("nan"))
+        assert op.duration == 0.25
+
 
 class TestOpProperties:
     def test_p2p_flags(self):
