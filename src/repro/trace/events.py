@@ -132,6 +132,24 @@ class Op:
         self.t_entry = float(t_entry)
         self.t_exit = float(t_exit)
 
+    def copy(self) -> "Op":
+        """A new op with the same fields.
+
+        Skips ``__init__``: ``self`` already passed its checks, and the
+        copy holds the same (already converted) values.
+        """
+        new = Op.__new__(Op)
+        new.kind = self.kind
+        new.peer = self.peer
+        new.nbytes = self.nbytes
+        new.tag = self.tag
+        new.comm = self.comm
+        new.req = self.req
+        new.duration = self.duration
+        new.t_entry = self.t_entry
+        new.t_exit = self.t_exit
+        return new
+
     # -- convenience -------------------------------------------------
 
     @property

@@ -2,9 +2,9 @@
 
 # NOTE: repro.workloads.audit is intentionally not re-exported here; it
 # depends on repro.core and importing it at package init would be circular.
-from repro.workloads.base import ProgramBuilder
-from repro.workloads.doe import DOE_APPS, generate_doe
-from repro.workloads.npb import NPB_APPS, generate_npb
+from repro.workloads.base import Program, ProgramBuilder
+from repro.workloads.doe import DOE_APPS, doe_program, generate_doe
+from repro.workloads.npb import NPB_APPS, generate_npb, npb_program
 from repro.workloads.patterns import (
     butterfly_exchange,
     grid_dims,
@@ -30,11 +30,14 @@ from repro.workloads.synthesis import (
 )
 
 __all__ = [
+    "Program",
     "ProgramBuilder",
     "NPB_APPS",
     "DOE_APPS",
     "generate_npb",
     "generate_doe",
+    "npb_program",
+    "doe_program",
     "grid_dims",
     "halo_exchange",
     "sweep_pipeline",

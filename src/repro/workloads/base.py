@@ -3,6 +3,11 @@
 A :class:`ProgramBuilder` accumulates per-rank op streams with managed
 request ids and tags, then emits a validated :class:`TraceSet`.  All
 application generators are written against this API.
+
+Generators emit communication only, plus a *compute slot* per rank at
+each iteration head (:meth:`ProgramBuilder.compute_slots`).  The result
+is a :class:`Program`: the communication trace, validated once, that
+:meth:`Program.stamp` turns into a full trace for any compute budget.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from repro.trace.events import Op, OpKind
 from repro.trace.trace import TraceSet
 from repro.util.validation import check_rank, require
 
-__all__ = ["ProgramBuilder"]
+__all__ = ["Program", "ProgramBuilder"]
 
 
 class ProgramBuilder:
@@ -34,6 +39,7 @@ class ProgramBuilder:
         self.uses_threads = False
         self.uses_comm_split = False
         self.metadata: dict = {}
+        self.slots: List[Tuple[int, int, float, float]] = []
 
     # -- structure ---------------------------------------------------------
 
@@ -75,6 +81,15 @@ class ProgramBuilder:
         """Local computation on ``rank``."""
         if seconds > 0:
             self.ops[rank].append(Op(OpKind.COMPUTE, duration=seconds))
+
+    def compute_slots(self, mult: Sequence[float], jitter: Sequence[float]) -> None:
+        """Mark each rank's next position as a compute slot.
+
+        Rank ``r``'s slot is priced ``compute_per_iter * mult[r] *
+        jitter[r]`` when the program is stamped (:meth:`Program.stamp`).
+        """
+        for rank in range(self.nranks):
+            self.slots.append((rank, len(self.ops[rank]), float(mult[rank]), float(jitter[rank])))
 
     def send(self, rank: int, peer: int, nbytes: int, tag: int) -> None:
         """Blocking send."""
@@ -158,3 +173,61 @@ class ProgramBuilder:
         if validate:
             trace.validate()
         return trace
+
+    def program(self, machine: str = "unknown") -> "Program":
+        """Emit the validated communication trace and its compute slots."""
+        return Program(self.build(machine=machine), self.slots)
+
+
+class Program:
+    """A communication-only trace plus the compute slots to fill in.
+
+    ``trace`` is validated once, when the builder emits it.
+    :meth:`stamp` adds compute ops and never touches ``trace``, so one
+    program serves any number of compute budgets (the calibration
+    replay reads ``trace`` directly; it never mutates ops).
+    """
+
+    __slots__ = ("trace", "slots", "_by_rank")
+
+    def __init__(self, trace: TraceSet, slots: Sequence[Tuple[int, int, float, float]]):
+        self.trace = trace
+        #: ``(rank, position, mult, jitter)`` in the order they were marked.
+        self.slots = tuple(slots)
+        self._by_rank: List[List[Tuple[int, float, float]]] = [[] for _ in trace.ranks]
+        for rank, position, mult, jitter in self.slots:
+            self._by_rank[rank].append((position, mult, jitter))
+
+    def stamp(self, compute_per_iter: float) -> TraceSet:
+        """A fresh trace with ``compute_per_iter * mult * jitter`` of
+        compute at each slot (no op where that is not ``> 0``).
+
+        Every op is a copy, so stamps share no :class:`Op` with the
+        program or with each other.  No re-validation: ``validate()``
+        looks only at requests, p2p channels and collectives, which
+        compute ops do not change.
+        """
+        src = self.trace
+        ranks = []
+        for stream, slots in zip(src.ranks, self._by_rank):
+            out: List[Op] = []
+            start = 0
+            for position, mult, jitter in slots:
+                out += [op.copy() for op in stream[start:position]]
+                seconds = compute_per_iter * mult * jitter
+                if seconds > 0:
+                    out.append(Op(OpKind.COMPUTE, duration=seconds))
+                start = position
+            out += [op.copy() for op in stream[start:]]
+            ranks.append(out)
+        return TraceSet(
+            name=src.name,
+            app=src.app,
+            ranks=ranks,
+            machine=src.machine,
+            ranks_per_node=src.ranks_per_node,
+            comms=dict(src.comms),
+            uses_comm_split=src.uses_comm_split,
+            uses_threads=src.uses_threads,
+            metadata=dict(src.metadata),
+        )

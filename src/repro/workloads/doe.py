@@ -15,9 +15,8 @@ from typing import Dict
 import numpy as np
 
 from repro.machines.config import MachineConfig
-from repro.util.rng import substream
-from repro.workloads.base import ProgramBuilder
-from repro.workloads.npb import _App, _imbalance_multipliers, _scaled
+from repro.workloads.base import Program
+from repro.workloads.npb import _App, _scaled, app_program
 from repro.workloads.patterns import (
     butterfly_exchange,
     grid_dims,
@@ -25,7 +24,7 @@ from repro.workloads.patterns import (
     irregular_exchange,
 )
 
-__all__ = ["DOE_APPS", "generate_doe"]
+__all__ = ["DOE_APPS", "doe_program", "generate_doe"]
 
 
 def _bigfft_round(b, machine, rng, nranks, scale, it):
@@ -144,6 +143,12 @@ DOE_APPS: Dict[str, _App] = {
 }
 
 
+def doe_program(app: str, nranks: int, machine: MachineConfig, seed: int, **options) -> Program:
+    """The communication program of one DOE trace (see :func:`npb_program`)."""
+    key = app.upper().replace("-", "")
+    return app_program("DOE", DOE_APPS, app, key, nranks, machine, seed, **options)
+
+
 def generate_doe(
     app: str,
     nranks: int,
@@ -159,42 +164,17 @@ def generate_doe(
     iters: int = None,
 ):
     """Build one DOE application trace (same contract as ``generate_npb``)."""
-    key = app.upper().replace("-", "")
-    try:
-        spec = DOE_APPS[key]
-    except KeyError:
-        known = ", ".join(sorted(DOE_APPS))
-        raise ValueError(f"unknown DOE app {app!r} (known: {known})") from None
-    rng = substream(seed, "doe", key, nranks)
-    trace_name = name or f"{spec.name.lower()}.{nranks}.{machine.name}.s{seed % 1000}"
-    b = ProgramBuilder(nranks, spec.name, trace_name, ranks_per_node=ranks_per_node)
-    b.uses_threads = use_threads
-    if use_comm_split:
-        half = max(1, nranks // 2)
-        b.add_comm(tuple(range(half)))
-        b.add_comm(tuple(range(half, nranks)))
-    mult = _imbalance_multipliers(nranks, imbalance, rng)
-    if spec.setup:
-        spec.setup(b, machine, rng, nranks, scale)
-    niters = iters if iters is not None else spec.iters
-    for it in range(niters):
-        # Jitter is drawn unconditionally so the RNG stream (and hence
-        # the traffic) is identical across calibration passes that only
-        # change the compute budget.
-        jitter = rng.normal(1.0, 0.02, size=nranks).clip(0.8, 1.2)
-        if compute_per_iter > 0:
-            for rank in range(nranks):
-                b.compute(rank, compute_per_iter * mult[rank] * jitter[rank])
-        spec.emit_round(b, machine, rng, nranks, scale, it)
-    if spec.finalize:
-        spec.finalize(b, machine, rng, nranks, scale)
-    b.barrier()
-    b.metadata.update(
-        app=spec.name,
-        suite="DOE",
+    program = doe_program(
+        app,
+        nranks,
+        machine,
+        seed,
         scale=scale,
         imbalance=imbalance,
-        iters=niters,
-        seed=seed,
+        ranks_per_node=ranks_per_node,
+        use_threads=use_threads,
+        use_comm_split=use_comm_split,
+        name=name,
+        iters=iters,
     )
-    return b.build(machine=machine.name)
+    return program.stamp(compute_per_iter)

@@ -3,8 +3,9 @@
 Each generator reproduces the communication *structure* of its NPB
 program — the pattern, message-size scaling and collective mix that
 drive modeling-vs-simulation divergence — parameterized by rank count
-and a problem-scale factor.  Computation is inserted by the caller
-through ``compute_per_iter`` (see :mod:`repro.workloads.suite`'s
+and a problem-scale factor.  A generator emits a communication
+:class:`~repro.workloads.base.Program`; computation is stamped onto it
+per ``compute_per_iter`` (see :mod:`repro.workloads.suite`'s
 calibration loop), distributed with per-rank imbalance multipliers.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from repro.machines.config import MachineConfig
 from repro.util.rng import substream
-from repro.workloads.base import ProgramBuilder
+from repro.workloads.base import Program, ProgramBuilder
 from repro.workloads.patterns import (
     butterfly_exchange,
     grid_dims,
@@ -25,7 +26,7 @@ from repro.workloads.patterns import (
     sweep_pipeline,
 )
 
-__all__ = ["NPB_APPS", "generate_npb"]
+__all__ = ["NPB_APPS", "app_program", "generate_npb", "npb_program"]
 
 
 def _imbalance_multipliers(nranks: int, imbalance: float, rng: np.random.Generator):
@@ -162,6 +163,73 @@ NPB_APPS: Dict[str, _App] = {
 }
 
 
+def app_program(
+    suite: str,
+    apps: Dict[str, _App],
+    app: str,
+    key: str,
+    nranks: int,
+    machine: MachineConfig,
+    seed: int,
+    scale: float = 1.0,
+    imbalance: float = 0.0,
+    ranks_per_node: int = 16,
+    use_threads: bool = False,
+    use_comm_split: bool = False,
+    name: str = None,
+    iters: int = None,
+) -> Program:
+    """The communication program of one ``suite`` application trace.
+
+    ``apps[key]`` is the generator; ``app`` is the caller's spelling,
+    for the error message.  The program depends only on (app, nranks,
+    scale, seed) and the flags; :meth:`Program.stamp` adds the
+    computation for a budget.
+    """
+    try:
+        spec = apps[key]
+    except KeyError:
+        known = ", ".join(sorted(apps))
+        raise ValueError(f"unknown {suite} app {app!r} (known: {known})") from None
+    rng = substream(seed, suite.lower(), key, nranks)
+    trace_name = name or f"{spec.name.lower()}.{nranks}.{machine.name}.s{seed % 1000}"
+    b = ProgramBuilder(nranks, spec.name, trace_name, ranks_per_node=ranks_per_node)
+    b.uses_threads = use_threads
+    if use_comm_split:
+        # Mirror codes that split row/column communicators.
+        half = max(1, nranks // 2)
+        b.add_comm(tuple(range(half)))
+        b.add_comm(tuple(range(half, nranks)))
+    mult = _imbalance_multipliers(nranks, imbalance, rng)
+    if spec.setup:
+        spec.setup(b, machine, rng, nranks, scale)
+    niters = iters if iters is not None else spec.iters
+    for it in range(niters):
+        # Jitter is drawn whatever the compute budget, so the RNG
+        # stream (and hence the traffic) does not depend on it.
+        jitter = rng.normal(1.0, 0.02, size=nranks).clip(0.8, 1.2)
+        b.compute_slots(mult, jitter)
+        spec.emit_round(b, machine, rng, nranks, scale, it)
+    if spec.finalize:
+        spec.finalize(b, machine, rng, nranks, scale)
+    b.barrier()
+    b.metadata.update(
+        app=spec.name,
+        suite=suite,
+        scale=scale,
+        imbalance=imbalance,
+        iters=niters,
+        seed=seed,
+    )
+    return b.program(machine=machine.name)
+
+
+def npb_program(app: str, nranks: int, machine: MachineConfig, seed: int, **options) -> Program:
+    """The communication program of one NPB trace; ``options`` are
+    :func:`generate_npb`'s, less ``compute_per_iter``."""
+    return app_program("NPB", NPB_APPS, app, app.upper(), nranks, machine, seed, **options)
+
+
 def generate_npb(
     app: str,
     nranks: int,
@@ -180,46 +248,22 @@ def generate_npb(
 
     ``compute_per_iter`` is the mean per-rank computation inserted each
     iteration (seconds); ``imbalance`` spreads it across ranks.  The
-    communication structure depends only on (app, nranks, scale, seed),
-    so the calibration loop can regenerate with different compute
-    budgets without perturbing traffic.
+    communication structure depends only on (app, nranks, scale, seed):
+    this stamps ``compute_per_iter`` onto :func:`npb_program`'s program,
+    which the corpus build generates once and stamps per calibration
+    attempt.
     """
-    try:
-        spec = NPB_APPS[app.upper()]
-    except KeyError:
-        known = ", ".join(sorted(NPB_APPS))
-        raise ValueError(f"unknown NPB app {app!r} (known: {known})") from None
-    rng = substream(seed, "npb", app.upper(), nranks)
-    trace_name = name or f"{app.lower()}.{nranks}.{machine.name}.s{seed % 1000}"
-    b = ProgramBuilder(nranks, spec.name, trace_name, ranks_per_node=ranks_per_node)
-    b.uses_threads = use_threads
-    if use_comm_split:
-        # Mirror NPB codes that split row/column communicators.
-        half = max(1, nranks // 2)
-        b.add_comm(tuple(range(half)))
-        b.add_comm(tuple(range(half, nranks)))
-    mult = _imbalance_multipliers(nranks, imbalance, rng)
-    if spec.setup:
-        spec.setup(b, machine, rng, nranks, scale)
-    niters = iters if iters is not None else spec.iters
-    for it in range(niters):
-        # Jitter is drawn unconditionally so the RNG stream (and hence
-        # the traffic) is identical across calibration passes that only
-        # change the compute budget.
-        jitter = rng.normal(1.0, 0.02, size=nranks).clip(0.8, 1.2)
-        if compute_per_iter > 0:
-            for rank in range(nranks):
-                b.compute(rank, compute_per_iter * mult[rank] * jitter[rank])
-        spec.emit_round(b, machine, rng, nranks, scale, it)
-    if spec.finalize:
-        spec.finalize(b, machine, rng, nranks, scale)
-    b.barrier()
-    b.metadata.update(
-        app=spec.name,
-        suite="NPB",
+    program = npb_program(
+        app,
+        nranks,
+        machine,
+        seed,
         scale=scale,
         imbalance=imbalance,
-        iters=niters,
-        seed=seed,
+        ranks_per_node=ranks_per_node,
+        use_threads=use_threads,
+        use_comm_split=use_comm_split,
+        name=name,
+        iters=iters,
     )
-    return b.build(machine=machine.name)
+    return program.stamp(compute_per_iter)

@@ -9,11 +9,11 @@ engine fails on them → 216 packet completions) and a further 54 use
 complex communicator grouping (flow engine fails on both → 162 flow
 completions); the packet-flow engine handles all 235.
 
-Each trace is produced by a two-pass calibration: the generator first
-emits communication only, a single-configuration MFACT replay prices
-it, and the computation budget needed to hit the instance's
-communication-fraction target is inserted on the second pass.  The
-ground-truth synthesizer then stamps measured timestamps.
+Each trace is calibrated on one generated program: the generator
+emits the communication program once, a single-configuration MFACT
+replay prices it, and the computation budget needed to hit the
+instance's communication-fraction target is stamped onto a copy of it.
+The ground-truth synthesizer then stamps measured timestamps.
 """
 
 from __future__ import annotations
@@ -22,13 +22,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.machines.presets import get_machine
 from repro.mfact.hockney import ConfigGrid
 from repro.mfact.logical_clock import LogicalClockReplay
 from repro.trace.trace import TraceSet
-from repro.util.rng import DEFAULT_SEED, substream
-from repro.workloads.doe import DOE_APPS, generate_doe
-from repro.workloads.npb import NPB_APPS, generate_npb
+from repro.util.rng import DEFAULT_SEED
+from repro.workloads.base import Program
+from repro.workloads.doe import DOE_APPS, doe_program
+from repro.workloads.npb import NPB_APPS, npb_program
 from repro.workloads.synthesis import synthesize_ground_truth
 
 __all__ = [
@@ -301,16 +303,14 @@ def mini_corpus_specs(
     return specs
 
 
-def _generate(spec: TraceSpec, compute_per_iter: float) -> TraceSet:
-    machine = get_machine(spec.machine)
-    gen = generate_npb if spec.suite == "NPB" else generate_doe
-    return gen(
+def _program(spec: TraceSpec) -> Program:
+    make = npb_program if spec.suite == "NPB" else doe_program
+    program = make(
         spec.app,
         spec.nranks,
-        machine,
+        get_machine(spec.machine),
         seed=spec.seed,
         scale=spec.scale,
-        compute_per_iter=compute_per_iter,
         imbalance=spec.imbalance,
         ranks_per_node=spec.ranks_per_node,
         use_threads=spec.use_threads,
@@ -318,41 +318,47 @@ def _generate(spec: TraceSpec, compute_per_iter: float) -> TraceSet:
         name=spec.name,
         iters=spec.iters,
     )
+    program.trace.metadata["mapping"] = spec.mapping
+    program.trace.metadata["mapping_seed"] = spec.seed
+    return program
 
 
 def build_trace(spec: TraceSpec, max_retries: int = 2) -> TraceSet:
     """Generate, calibrate and stamp one corpus trace.
 
-    Pass 1 prices the communication-only program with a
-    single-configuration MFACT replay; the computation budget that puts
-    the instance at its communication-fraction target is inserted on
-    pass 2.  After ground-truth synthesis the measured fraction is
-    checked and the budget re-adjusted up to ``max_retries`` times.
+    The communication program is generated (and validated) once.  A
+    single-configuration MFACT replay prices it, which sets the
+    computation budget that puts the instance at its
+    communication-fraction target; each attempt stamps that budget onto
+    a fresh copy of the program and synthesizes its ground truth.  The
+    measured fraction is then checked and the budget re-adjusted up to
+    ``max_retries`` times.
     """
     machine = get_machine(spec.machine)
-    bare = _generate(spec, 0.0)
-    bare.metadata["mapping"] = spec.mapping
-    bare.metadata["mapping_seed"] = spec.seed
-    niters = bare.metadata["iters"]
-    report = LogicalClockReplay(bare, machine, ConfigGrid.single(machine)).run()
-    comm_time = max(report.baseline_total_time, 1e-9)
-    f = min(0.97, max(0.005, spec.comm_target))
-    compute_per_iter = comm_time * (1.0 - f) / f / niters
-    trace = None
-    for attempt in range(max_retries + 1):
-        trace = _generate(spec, compute_per_iter)
-        trace.metadata["mapping"] = spec.mapping
-        trace.metadata["mapping_seed"] = spec.seed
-        synthesize_ground_truth(trace, machine, spec.seed)
-        measured = trace.comm_fraction()
-        if measured <= 0 or abs(measured - f) <= 0.18 * f or compute_per_iter <= 0:
-            break
-        # One multiplicative correction per retry: scale the compute
-        # budget by the ratio of odds (compute share implied by target
-        # vs. observed).
-        odds_target = (1.0 - f) / f
-        odds_measured = max(1e-3, (1.0 - measured) / measured)
-        compute_per_iter *= odds_target / odds_measured
+    with obs.span("trace_build"):
+        with obs.span("generate"):
+            program = _program(spec)
+        with obs.span("calibrate"):
+            bare = program.trace
+            report = LogicalClockReplay(bare, machine, ConfigGrid.single(machine)).run()
+        comm_time = max(report.baseline_total_time, 1e-9)
+        f = min(0.97, max(0.005, spec.comm_target))
+        compute_per_iter = comm_time * (1.0 - f) / f / bare.metadata["iters"]
+        trace = None
+        for attempt in range(max_retries + 1):
+            obs.counter("repro_trace_build_attempts_total").inc()
+            with obs.span("synthesize"):
+                trace = program.stamp(compute_per_iter)
+                synthesize_ground_truth(trace, machine, spec.seed)
+                measured = trace.comm_fraction()
+            if measured <= 0 or abs(measured - f) <= 0.18 * f or compute_per_iter <= 0:
+                break
+            # One multiplicative correction per retry: scale the compute
+            # budget by the ratio of odds (compute share implied by target
+            # vs. observed).
+            odds_target = (1.0 - f) / f
+            odds_measured = max(1e-3, (1.0 - measured) / measured)
+            compute_per_iter *= odds_target / odds_measured
     trace.metadata["comm_target"] = f
     trace.metadata["spec_index"] = spec.index
     return trace

@@ -78,7 +78,9 @@ class GroundTruthSynthesizer:
         self.clk = [0.0] * n
         self._inj = [0.0] * n
         self._ej = [0.0] * n
-        self._free = np.zeros(self.fabric.nresources)
+        # A list, not a numpy array: its values become timestamps, which
+        # stay builtin floats.
+        self._free = [0.0] * self.fabric.nresources
         self._ip = [0] * n
         self._channels: Dict[Tuple[int, int, int], "_Chan"] = {}
         self._requests: List[Dict[int, Tuple[Optional[float], int, object]]] = [
@@ -193,7 +195,7 @@ class GroundTruthSynthesizer:
         total = self.kappa * cost.time(self.machine.latency, self.machine.bandwidth)
         total += self._overhead
         # Real collectives suffer mildly superlinear congestion at scale.
-        total *= 1.0 + 0.02 * np.log2(max(2, p))
+        total *= float(1.0 + 0.02 * np.log2(max(2, p)))
         if op.kind in _SYNC_COLLECTIVES:
             peak = max(arrived.values())
             done = peak + total
@@ -352,23 +354,7 @@ _DEFECT_TAG_BASE = 1 << 19
 
 def _clone_trace(trace: TraceSet) -> TraceSet:
     """Deep copy: fresh Op objects so injection never mutates the input."""
-    ranks = [
-        [
-            Op(
-                op.kind,
-                peer=op.peer,
-                nbytes=op.nbytes,
-                tag=op.tag,
-                comm=op.comm,
-                req=op.req,
-                duration=op.duration,
-                t_entry=op.t_entry,
-                t_exit=op.t_exit,
-            )
-            for op in stream
-        ]
-        for stream in trace.ranks
-    ]
+    ranks = [[op.copy() for op in stream] for stream in trace.ranks]
     return TraceSet(
         name=trace.name,
         app=trace.app,

@@ -318,6 +318,22 @@ class TestExecutorMetrics:
         assert any(k.startswith("repro_engine_events_per_run") for k in views[1]["histograms"])
         assert views[1]["span_counts"]["record"] == N
 
+    def test_trace_build_children_cover_the_build(self, specs):
+        """A cold study's trace build splits into generate, calibrate
+        and one synthesize per attempt, which explain nearly all of it."""
+        run = execute_study(
+            specs[:2], jobs=1, cache_root=None, seed=SEED, collect_metrics=True
+        )
+        snap = MetricsSnapshot.from_json(run.manifest.metrics)
+        spans = snap.spans
+        children = [f"trace_build/{c}" for c in ("generate", "calibrate", "synthesize")]
+        assert spans["trace_build"]["count"] == 2
+        assert [spans[c]["count"] for c in children[:2]] == [2, 2]
+        attempts = snap.counters["repro_trace_build_attempts_total"]
+        assert spans[children[2]]["count"] == attempts >= 2
+        covered = sum(spans[c]["total_seconds"] for c in children)
+        assert covered >= 0.97 * spans["trace_build"]["total_seconds"]
+
     def test_manifest_embeds_snapshot_and_round_trips(self, specs, tmp_path):
         run = execute_study(
             specs[:1], jobs=1, cache_root=None, seed=SEED, collect_metrics=True
