@@ -9,8 +9,9 @@ bandwidth factors) for each trace of a seeded mini-corpus two ways:
   the vectorized multi-config grid trick only collapses axes that are
   affine per event (latency/bandwidth), so any study that perturbs
   structure-adjacent knobs pays one replay per point.
-* **analytic** — record the max-plus dependency graph once
-  (:func:`repro.sensitivity.record_graph`) and price all 100 points
+* **analytic** — record the max-plus dependency graph once (one
+  single-configuration replay with a
+  :class:`~repro.sensitivity.GraphRecorder` attached) and price all 100 points
   with a single :meth:`~repro.sensitivity.DependencyGraph.evaluate`
   call.  The timed pass includes the recording replay, so the speedup
   is end-to-end, not marginal.

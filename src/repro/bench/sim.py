@@ -280,7 +280,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--check", action="store_true",
         help="exit non-zero if any engine's vectorized path is slower "
-        f"than scalar by more than {MAX_REGRESSION:.0%}",
+        f"than scalar by more than {MAX_REGRESSION * 100:.0f}%%",
     )
     args = parser.parse_args(argv)
 

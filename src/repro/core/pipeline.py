@@ -28,7 +28,6 @@ from repro.analysis.lint import LintGateError, lint_trace
 from repro.core.difftotal import DIFF_THRESHOLD, diff_total
 from repro.core.resilience import LADDER, band_for_step
 from repro.machines.presets import get_machine
-from repro.mfact.logical_clock import model_trace
 from repro.sensitivity.analysis import analyze_graph, record_graph
 from repro.sim import modes
 from repro.sim.mpi_replay import ReplayShared, simulate_trace
@@ -179,7 +178,15 @@ def measure_trace(
         comm_fraction=trace.comm_fraction(),
         features=features,
     )
-    report = model_trace(trace, machine)
+    # One recorded MFACT sweep replay yields both the report and the
+    # dependency graph for the zero-replay sensitivity features.  No
+    # memo here: a cache miss must replay the same way in every worker,
+    # or -j 1 and -j N runs would count different metrics.
+    # ``record.mfact.walltime`` is that replay's wall time, the tool cost
+    # the paper's Table II ranks.  It includes the recorder's hooks,
+    # which only log (one list extend each); the graph is built from
+    # the log after the replay, outside the walltime.
+    graph, report = record_graph(trace, machine)
     record.mfact = ToolRun(
         completed=True,
         total_time=report.baseline_total_time,
@@ -189,16 +196,13 @@ def measure_trace(
     )
     record.mfact_class = report.classification.value
     record.mfact_cs = bool(report.communication_sensitive)
-    # Zero-replay sensitivity features: one recorded single-config
-    # replay (kept separate so ``record.mfact.walltime`` stays the pure
-    # tool cost the paper's Table II ranking is about), then lean tape
-    # analytics.  Curves are skipped; the features need only the
-    # baseline/half-bandwidth/cap probes and the Newton threshold, and
-    # are bitwise-identical to a full analyze_trace().
-    graph, _ = record_graph(trace, machine)
+    # Curves are skipped; the features need only the baseline/half-
+    # bandwidth/cap probes and the Newton threshold, and are
+    # bitwise-identical to a full analyze_trace().
     record.features.update(
         analyze_graph(graph, machine, lat_factors=(), bw_factors=()).features()
     )
+    del graph, report  # freed before the engines run, off the record's peak memory
     wall_deadline = None
     if budget is not None and budget.wall_seconds is not None:
         wall_deadline = time.perf_counter() + budget.wall_seconds

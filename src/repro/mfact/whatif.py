@@ -9,11 +9,12 @@ grid in one replay per compute point, and query speedups, bottleneck
 shifts and the cheapest configuration meeting a target.
 
 ``explore_design_space(analytic=True)`` drops the replays entirely:
-one *recorded* replay builds the max-plus dependency graph
-(:mod:`repro.sensitivity`), and every grid point is priced by tape
-evaluation — zero replays per design point, agreeing with the replayed
-path within the package's documented ``1e-6`` relative band (the
-differential suite asserts ``1e-9`` on the mini-corpus).
+every grid point is priced by evaluating the max-plus dependency graph
+of the trace model (:func:`repro.sensitivity.analysis.trace_model`) —
+the graph recorded by the MFACT sweep replay itself, so a trace that
+was already modeled or analyzed pays no replay at all.  It agrees with
+the replayed path within the package's documented ``1e-6`` relative
+band (the differential suite asserts ``1e-9`` on the mini-corpus).
 """
 
 from __future__ import annotations
@@ -175,12 +176,14 @@ def _explore_analytic(
     latency_factors: Sequence[float],
     compute_factors: Sequence[float],
 ) -> DesignSpaceResult:
-    """Zero-replay grid pricing: record once, tape-evaluate every point."""
+    """Zero-replay grid pricing: tape-evaluate every point on the trace
+    model, recorded once per trace content and shared with the other
+    queries (:func:`repro.sensitivity.analysis.trace_model`)."""
     # Imported here: whatif is a mfact module and repro.sensitivity
     # builds on mfact's replay, so a top-level import would be cyclic.
-    from repro.sensitivity.analysis import record_graph
+    from repro.sensitivity.analysis import trace_model
 
-    graph, _ = record_graph(trace, machine)
+    graph, _ = trace_model(trace, machine)
     points: List[DesignPoint] = []
     lats: List[float] = []
     bws: List[float] = []

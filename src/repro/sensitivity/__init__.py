@@ -18,12 +18,16 @@ This package provides that layer (ROADMAP item 3, LLAMP-style):
   edges ``(overhead, alpha_count, bytes, compute_seconds)``.
 * :class:`~repro.sensitivity.graph.DependencyGraph` — the frozen
   max-plus tape: :meth:`~repro.sensitivity.graph.DependencyGraph.evaluate`
-  prices a batch of configurations in one pass, and
-  :meth:`~repro.sensitivity.graph.DependencyGraph.critical_path`
+  prices a batch of configurations one topological level at a time,
+  and :meth:`~repro.sensitivity.graph.DependencyGraph.critical_path`
   backtracks the binding chain and decomposes it by cost component.
-* :mod:`~repro.sensitivity.analysis` — latency-tolerance and
-  bandwidth-sensitivity curves, tolerance thresholds and the
-  ``lat_tolerance`` / ``bw_sensitivity`` / ``critical_path_frac``
+* :mod:`~repro.sensitivity.analysis` — the trace model
+  (:func:`~repro.sensitivity.analysis.record_graph`: the MFACT sweep
+  replay with a recorder attached, so one replay yields both the MFACT
+  report and the graph; :func:`~repro.sensitivity.analysis.trace_model`
+  shares it between the queries on one trace content), latency-
+  tolerance and bandwidth-sensitivity curves, tolerance thresholds and
+  the ``lat_tolerance`` / ``bw_sensitivity`` / ``critical_path_frac``
   features consumed by the enhanced-MFACT design matrix.
 
 Accuracy contract: tape evaluation reassociates the replay's float
@@ -45,6 +49,7 @@ from repro.sensitivity.analysis import (
     latency_curve,
     latency_tolerance,
     record_graph,
+    trace_model,
 )
 from repro.sensitivity.graph import CriticalPath, DependencyGraph, GraphRecorder
 
@@ -63,4 +68,5 @@ __all__ = [
     "latency_curve",
     "latency_tolerance",
     "record_graph",
+    "trace_model",
 ]

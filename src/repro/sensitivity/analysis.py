@@ -2,7 +2,8 @@
 
 One recorded replay yields a :class:`~repro.sensitivity.graph.DependencyGraph`;
 everything here is pure tape evaluation — thousands of what-if points
-for the cost of that single replay:
+for the cost of that single replay, which is MFACT's own sweep replay
+(:func:`record_graph`, shared between queries by :func:`trace_model`):
 
 * :func:`latency_curve` / :func:`bandwidth_curve` — predicted totals as
   the network degrades or improves along one axis.
@@ -42,6 +43,8 @@ transform.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -54,6 +57,7 @@ from repro.mfact.logical_clock import LogicalClockReplay
 from repro.mfact.report import MFACTReport
 from repro.sensitivity.graph import CriticalPath, DependencyGraph, GraphRecorder
 from repro.trace.trace import TraceSet
+from repro.util.fingerprint import machine_config_hash, trace_fingerprint
 
 __all__ = [
     "DEFAULT_BW_CURVE_FACTORS",
@@ -67,6 +71,7 @@ __all__ = [
     "latency_curve",
     "latency_tolerance",
     "record_graph",
+    "trace_model",
 ]
 
 #: Relative slowdown budget defining the latency-tolerance threshold.
@@ -92,19 +97,68 @@ _NEWTON_SLACK = 1e-12
 def record_graph(
     trace: TraceSet, machine: MachineConfig
 ) -> Tuple[DependencyGraph, MFACTReport]:
-    """One recorded single-configuration replay: the sealed graph plus
-    the ordinary MFACT report of that replay."""
+    """The trace model: one MFACT sweep replay with a recorder attached.
+
+    Returns the sealed graph and the ordinary MFACT report of that
+    replay (:meth:`ConfigGrid.sweep` grid, the default of
+    :func:`~repro.mfact.logical_clock.model_trace`).  The recorder's
+    hooks are structural, so the graph does not depend on the grid.
+    No memo: each call replays (see :func:`trace_model`).
+    """
     recorder = GraphRecorder(trace.nranks, machine)
-    with obs.span("sensitivity_graph"):
-        report = LogicalClockReplay(
-            trace, machine, ConfigGrid.single(machine), recorder=recorder
-        ).run()
+    report = LogicalClockReplay(
+        trace, machine, ConfigGrid.sweep(machine), recorder=recorder
+    ).run()
+    with obs.span("sensitivity_graph"):  # sealing: arrays and levels
         graph = recorder.finish()
     if obs.enabled():
         obs.counter("repro_sensitivity_graphs_total").inc()
         obs.counter("repro_sensitivity_nodes_total").inc(graph.n_nodes)
         obs.counter("repro_sensitivity_edges_total").inc(graph.n_edges)
     return graph, report
+
+
+#: Trace models kept by :func:`trace_model`.  Callers query one trace
+#: at a time, so the latest model is all a hit needs; keeping more only
+#: holds graphs (a few MB each) that no later query reads.
+TRACE_MODEL_MEMO_SIZE = 1
+
+_memo: "OrderedDict[Tuple[str, str], Tuple[DependencyGraph, MFACTReport]]" = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def trace_model(
+    trace: TraceSet, machine: MachineConfig
+) -> Tuple[DependencyGraph, MFACTReport]:
+    """:func:`record_graph`, shared by the query calls on one trace.
+
+    ``model_trace`` (default grid, no recorder), :func:`analyze_trace`
+    and ``explore_design_space(analytic=True)`` all read the same trace
+    model, so a trace queried all three ways replays once.  The memo is
+    keyed by content — the trace fingerprint and the machine config
+    hash, as the record cache is — because traces are mutable:
+    ``synthesize_ground_truth`` restamps durations in place.  It keeps
+    the :data:`TRACE_MODEL_MEMO_SIZE` most recently used models.  The
+    returned graph and report are shared; callers must not mutate them.
+    """
+    key = (trace_fingerprint(trace), machine_config_hash(machine))
+    with _memo_lock:
+        model = _memo.get(key)
+        if model is not None:
+            _memo.move_to_end(key)
+        else:  # make room first, so evicted graphs are freed before the replay
+            while len(_memo) >= TRACE_MODEL_MEMO_SIZE:
+                _memo.popitem(last=False)
+    obs.counter("repro_trace_model_total", status="miss" if model is None else "hit").inc()
+    if model is not None:
+        return model
+    model = record_graph(trace, machine)
+    with _memo_lock:
+        _memo[key] = model
+        _memo.move_to_end(key)
+        while len(_memo) > TRACE_MODEL_MEMO_SIZE:
+            _memo.popitem(last=False)
+    return model
 
 
 def latency_curve(
@@ -291,8 +345,9 @@ def analyze_trace(
     lat_factors: Sequence[float] = DEFAULT_LAT_CURVE_FACTORS,
     bw_factors: Sequence[float] = DEFAULT_BW_CURVE_FACTORS,
 ) -> SensitivityReport:
-    """End-to-end: one recorded replay, then pure tape analytics."""
-    graph, _ = record_graph(trace, machine)
+    """End-to-end: the trace model (see :func:`trace_model`), then pure
+    tape analytics."""
+    graph, _ = trace_model(trace, machine)
     return analyze_graph(
         graph,
         machine,

@@ -19,7 +19,10 @@ wire latencies; ``bytes`` are the bytes serialized through a NIC or a
 collective's on-wire volume; ``compute_seconds`` are unscaled measured
 compute durations.  Because ``max`` and ``+`` are monotone, evaluating
 the recorded tape bottom-up (nodes are created in topological order)
-reproduces the replay's clocks for any configuration.
+reproduces the replay's clocks for any configuration.  The evaluator
+groups nodes by topological level — longest-path depth from the epoch,
+computed once when the graph is sealed — and prices a whole level, for
+a whole batch of configurations, in a few array operations.
 
 Two deliberate reassociations keep the tape small and fast — they are
 the only sources of float divergence from a real replay, both bounded
@@ -62,6 +65,9 @@ _SYNC_COLLECTIVES = frozenset(
         OpKind.REDUCE_SCATTER,
     }
 )
+
+#: Hook-log entry codes (see GraphRecorder).
+_COMPUTE, _OVERHEAD, _SEND, _RECV, _BIND, _WAIT, _COLLECTIVE = range(7)
 
 #: Configs per evaluation chunk are sized so one value matrix stays
 #: around 32 MB regardless of graph size.
@@ -129,10 +135,62 @@ class DependencyGraph:
         self.node_rank = node_rank  # -1 epoch/terminal, -2 shared collective completion
         self.terminal = int(terminal)
         self.baseline = baseline  # (latency, bandwidth, compute_scale)
-        # Plain-list views: the evaluation loops index element-wise, and
-        # list indexing is several times cheaper than ndarray indexing.
-        self._starts_list = self.starts.tolist()
-        self._pred_list = self.pred.tolist()
+        self._seal_levels()
+
+    def _seal_levels(self) -> None:
+        """Group nodes by topological level for :meth:`_level_pass`.
+
+        A node's level is its longest-path depth from the epoch, so all
+        its predecessors sit in lower levels.  Nodes are renumbered level
+        by level (node order within a level; ``_pos`` maps a node to its
+        position) and the edge arrays are permuted to match, so level
+        ``lv`` holds positions ``_level_nodes[lv]:_level_nodes[lv + 1]``
+        and edges ``_level_edges[lv]:_level_edges[lv + 1]``, and
+        ``_lpred`` names predecessors by position.
+        """
+        # Memoryviews: the depth loop indexes element-wise, several times
+        # cheaper than ndarray indexing and with no list of int objects.
+        starts, pred = memoryview(self.starts), memoryview(self.pred)
+        n = self.n_nodes
+        depth = [0] * n
+        i = 0
+        for s, e in zip(starts, starts[1:]):
+            # Most nodes have one or two edges; spell those out.
+            width = e - s
+            if width == 1:
+                depth[i] = depth[pred[s]] + 1
+            elif width == 2:
+                a, b = depth[pred[s]], depth[pred[s + 1]]
+                depth[i] = (a if a > b else b) + 1
+            elif width:
+                depth[i] = max([depth[p] for p in pred[s:e]]) + 1
+            i += 1
+        depth_arr = np.asarray(depth, dtype=np.int64)
+        order = np.argsort(depth_arr, kind="stable")
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n, dtype=np.int64)
+        lens = np.diff(self.starts)[order]
+        edge_starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lens, out=edge_starts[1:])
+        eperm = np.repeat(self.starts[:-1][order] - edge_starts[:-1], lens) + np.arange(
+            self.n_edges, dtype=np.int64
+        )
+        self._pos = pos
+        self._terminal_pos = int(pos[self.terminal])
+        self._lstarts = edge_starts
+        self._lpred = pos[self.pred[eperm]]
+        self._lconst = self.const[eperm]
+        self._lalpha = self.alpha[eperm]
+        self._lbytes = self.nbytes[eperm]
+        self._lcompute = self.compute[eperm]
+        counts = np.bincount(depth_arr)
+        node_bounds = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=node_bounds[1:])
+        level_edges = edge_starts[node_bounds]
+        # Each node's first edge, relative to its level's first edge.
+        self._offsets = edge_starts[:-1] - np.repeat(level_edges[:-1], counts)
+        self._level_nodes = node_bounds.tolist()
+        self._level_edges = level_edges.tolist()
 
     @property
     def n_nodes(self) -> int:
@@ -151,59 +209,40 @@ class DependencyGraph:
         lat, bw, scale = np.broadcast_arrays(lat, bw, scale)
         return np.ascontiguousarray(lat), np.ascontiguousarray(bw), np.ascontiguousarray(scale)
 
-    def _values(self, lat: np.ndarray, bw: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        """Full (n_nodes, K) value matrix for one configuration batch."""
-        k = lat.size
-        if k == 1:
-            return self._values_scalar(float(lat[0]), float(bw[0]), float(scale[0]))
+    def _level_pass(self, lat: np.ndarray, bw: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """Level-ordered (n_nodes, K) value matrix for one configuration
+        batch: row ``_pos[i]`` holds the values of node ``i``.
+
+        Each level costs one gather of its predecessors' rows, one add
+        of its edge costs and one ``np.maximum.reduceat`` over each
+        node's edge segment.  ``max`` is exact and every edge keeps its
+        ``value + cost`` operands, so the result is bitwise the
+        node-by-node evaluation's.
+        """
+        # cost = ((const + alpha*lat) + bytes/bw) + compute*scale, built
+        # in place so at most one (n_edges, K) temporary is alive.
         inv_bw = 1.0 / bw
-        cost = (
-            self.const[:, None]
-            + self.alpha[:, None] * lat[None, :]
-            + self.nbytes[:, None] * inv_bw[None, :]
-            + self.compute[:, None] * scale[None, :]
-        )
-        vals = np.zeros((self.n_nodes, k))
-        starts = self._starts_list
-        pred = self._pred_list
-        for i in range(self.n_nodes):
-            s, e = starts[i], starts[i + 1]
-            if e == s:  # the epoch node: value 0
-                continue
-            row = vals[i]
-            np.add(vals[pred[s]], cost[s], out=row)
-            for j in range(s + 1, e):
-                np.maximum(row, vals[pred[j]] + cost[j], out=row)
+        cost = np.multiply(self._lalpha[:, None], lat[None, :])
+        cost += self._lconst[:, None]
+        term = np.multiply(self._lbytes[:, None], inv_bw[None, :])
+        cost += term
+        np.multiply(self._lcompute[:, None], scale[None, :], out=term)
+        cost += term
+        del term
+        vals = np.zeros((self.n_nodes, lat.size))  # level 0 (the epoch) stays 0
+        lpred, offsets = self._lpred, self._offsets
+        nodes, edges = self._level_nodes, self._level_edges
+        for lv in range(1, len(nodes) - 1):
+            nlo, nhi, elo, ehi = nodes[lv], nodes[lv + 1], edges[lv], edges[lv + 1]
+            x = np.take(vals, lpred[elo:ehi], axis=0)
+            x += cost[elo:ehi]
+            np.maximum.reduceat(x, offsets[nlo:nhi], axis=0, out=vals[nlo:nhi])
         return vals
 
-    def _values_scalar(self, lat: float, bw: float, scale: float) -> np.ndarray:
-        """Single-configuration value pass on plain Python floats.
-
-        Per-element ndarray arithmetic costs ~1us an op; for K=1 the
-        same adds and maxes on list floats are an order of magnitude
-        cheaper.  The operations (and hence the rounding) are identical
-        to the batched path, so both return bitwise-equal values.
-        """
-        cost = (
-            self.const
-            + self.alpha * lat
-            + self.nbytes * (1.0 / bw)
-            + self.compute * scale
-        ).tolist()
-        vals = [0.0] * self.n_nodes
-        starts = self._starts_list
-        pred = self._pred_list
-        for i in range(self.n_nodes):
-            s, e = starts[i], starts[i + 1]
-            if e == s:  # the epoch node: value 0
-                continue
-            best = vals[pred[s]] + cost[s]
-            for j in range(s + 1, e):
-                v = vals[pred[j]] + cost[j]
-                if v > best:
-                    best = v
-            vals[i] = best
-        return np.asarray(vals)[:, None]
+    def values(self, latency, bandwidth, compute_scale) -> np.ndarray:
+        """Full (n_nodes, K) value matrix, rows in node order."""
+        lat, bw, scale = self._broadcast(latency, bandwidth, compute_scale)
+        return self._level_pass(lat, bw, scale)[self._pos]
 
     def evaluate(self, latency, bandwidth, compute_scale) -> np.ndarray:
         """Predicted application total for each configuration.
@@ -219,8 +258,8 @@ class DependencyGraph:
         with obs.span("sensitivity_solve"):
             for lo in range(0, k, chunk):
                 hi = min(lo + chunk, k)
-                vals = self._values(lat[lo:hi], bw[lo:hi], scale[lo:hi])
-                totals[lo:hi] = vals[self.terminal]
+                vals = self._level_pass(lat[lo:hi], bw[lo:hi], scale[lo:hi])
+                totals[lo:hi] = vals[self._terminal_pos]
         if obs.enabled():
             obs.counter("repro_sensitivity_configs_total").inc(k)
         return totals
@@ -238,17 +277,17 @@ class DependencyGraph:
         lat = float(latency) if latency is not None else lat0
         bw = float(bandwidth) if bandwidth is not None else bw0
         scale = float(compute_scale) if compute_scale is not None else scale0
-        vals = self._values(np.array([lat]), np.array([bw]), np.array([scale]))[:, 0]
+        # The walk runs in level order: a node's edges keep their
+        # relative order there, so ties resolve as in node order.
+        vals = self._level_pass(*self._broadcast(lat, bw, scale))[:, 0]
         inv_bw = 1.0 / bw
-        cost = (
-            self.const
-            + self.alpha * lat
-            + self.nbytes * inv_bw
-            + self.compute * scale
-        ).tolist()
-        starts = self._starts_list
-        pred = self._pred_list
-        node = self.terminal
+        const, alpha, nbytes, compute = self._lconst, self._lalpha, self._lbytes, self._lcompute
+        starts, pred = self._lstarts, self._lpred
+
+        def through(j):  # the value edge j offers: the same operations as _level_pass
+            return vals[pred[j]] + (const[j] + alpha[j] * lat + nbytes[j] * inv_bw + compute[j] * scale)
+
+        node = self._terminal_pos
         comp_t = lat_t = bw_t = ovh_t = 0.0
         alphas = wire_bytes = 0.0
         n_edges = 0
@@ -257,23 +296,23 @@ class DependencyGraph:
             if e == s:
                 break  # reached the epoch
             best_j = s
-            best_val = vals[pred[s]] + cost[s]
+            best_val = through(s)
             for j in range(s + 1, e):
-                v = vals[pred[j]] + cost[j]
+                v = through(j)
                 if v > best_val:
                     best_val = v
                     best_j = j
             j = best_j
-            comp_t += self.compute[j] * scale
-            lat_t += self.alpha[j] * lat
-            bw_t += self.nbytes[j] * inv_bw
-            ovh_t += self.const[j]
-            alphas += self.alpha[j]
-            wire_bytes += self.nbytes[j]
+            comp_t += compute[j] * scale
+            lat_t += alpha[j] * lat
+            bw_t += nbytes[j] * inv_bw
+            ovh_t += const[j]
+            alphas += alpha[j]
+            wire_bytes += nbytes[j]
             n_edges += 1
             node = pred[j]
         return CriticalPath(
-            total=float(vals[self.terminal]),
+            total=float(vals[self._terminal_pos]),
             compute_time=comp_t,
             latency_time=lat_t,
             bandwidth_time=bw_t,
@@ -289,7 +328,10 @@ class GraphRecorder:
 
     :class:`~repro.mfact.logical_clock.LogicalClockReplay` calls the
     ``on_*`` hooks (duck-typed; the replay never imports this module)
-    at every clock update.  Per-rank pending additive costs
+    at every clock update.  A hook only appends its code and arguments
+    to a flat log, so the replay — whose wall time is MFACT's tool cost
+    — pays one list extend per hook; :meth:`finish` applies the log in
+    order to build the graph.  Per-rank pending additive costs
     (``_pend_const`` / ``_pend_comp``) fold chains of compute and
     overhead advances into the next edge that reads the clock.
     """
@@ -298,12 +340,11 @@ class GraphRecorder:
         self.nranks = int(nranks)
         self._o = machine.software_overhead
         self._baseline = (machine.latency, machine.bandwidth, machine.compute_scale)
-        # Flat edge arrays; node i's edges occupy _starts[i]:_starts[i+1].
-        self._ep: List[int] = []
-        self._ec: List[float] = []
-        self._ea: List[float] = []
-        self._eb: List[float] = []
-        self._ew: List[float] = []
+        # Edges as one flat list, five entries each (predecessor, const,
+        # alpha, bytes, compute): one extend per node, and a flat list of
+        # numbers gives the garbage collector nothing to track.  Node i's
+        # entries are _flat[_starts[i]:_starts[i+1]].
+        self._flat: List[float] = []
         self._starts: List[int] = [0]
         self._rank_of: List[int] = []
         epoch = self._new_node(-1, ())
@@ -314,17 +355,14 @@ class GraphRecorder:
         self._pend_comp = [0.0] * self.nranks
         self._chan: Dict[Tuple[int, int, int], Deque[int]] = {}
         self._req: List[Dict[int, int]] = [dict() for _ in range(self.nranks)]
+        self._log: list = []  # hook codes and arguments, flat
 
     # -- node construction -------------------------------------------------
 
-    def _new_node(self, rank: int, edges: Sequence[Tuple[int, float, float, float, float]]) -> int:
-        for p, c, a, b, w in edges:
-            self._ep.append(p)
-            self._ec.append(c)
-            self._ea.append(a)
-            self._eb.append(b)
-            self._ew.append(w)
-        self._starts.append(len(self._ep))
+    def _new_node(self, rank: int, edges: Sequence[float]) -> int:
+        """Append a node; ``edges`` is flat, five entries per edge."""
+        self._flat += edges
+        self._starts.append(len(self._flat))
         self._rank_of.append(rank)
         return len(self._rank_of) - 1
 
@@ -346,23 +384,47 @@ class GraphRecorder:
         self._pend_const[rank] = 0.0
         self._pend_comp[rank] = 0.0
 
-    # -- replay hooks ------------------------------------------------------
+    # -- replay hooks: log only --------------------------------------------
 
     def on_compute(self, rank: int, duration: float) -> None:
-        self._pend_comp[rank] += duration
+        self._log += (_COMPUTE, rank, duration)
 
     def on_overhead(self, rank: int) -> None:
-        self._pend_const[rank] += self._o
+        self._log += (_OVERHEAD, rank)
 
     def on_send(self, rank: int, dst: int, tag: int, nbytes: int, blocking: bool) -> None:
+        self._log += (_SEND, rank, dst, tag, nbytes, blocking)
+
+    def on_recv_complete(self, rank: int, src: int, tag: int, nbytes: int) -> None:
+        self._log += (_RECV, rank, src, tag, nbytes)
+
+    def on_irecv_bind(self, rank: int, src: int, tag: int, req: int) -> None:
+        self._log += (_BIND, rank, src, tag, req)
+
+    def on_wait_complete(self, rank: int, req: int, nbytes: int) -> None:
+        self._log += (_WAIT, rank, req, nbytes)
+
+    def on_collective(
+        self,
+        kind: OpKind,
+        members: Sequence[int],
+        root: int,
+        nbytes: int,
+        alpha_count: float,
+        bytes_on_wire: float,
+    ) -> None:
+        self._log += (_COLLECTIVE, kind, members, root, nbytes, alpha_count, bytes_on_wire)
+
+    # -- graph construction from the log -----------------------------------
+
+    def _send(self, rank: int, dst: int, tag: int, nbytes: int, blocking: bool) -> None:
         b = float(nbytes)
         inj_start = self._new_node(
-            rank,
-            ((self._inj[rank], 0.0, 0.0, 0.0, 0.0), self._clk_edge(rank, const=self._o)),
+            rank, (self._inj[rank], 0.0, 0.0, 0.0, 0.0) + self._clk_edge(rank, const=self._o)
         )
-        inj_done = self._new_node(rank, ((inj_start, 0.0, 0.0, b, 0.0),))
+        inj_done = self._new_node(rank, (inj_start, 0.0, 0.0, b, 0.0))
         self._inj[rank] = inj_done
-        avail = self._new_node(rank, ((inj_start, 0.0, 1.0, 0.0, 0.0),))
+        avail = self._new_node(rank, (inj_start, 0.0, 1.0, 0.0, 0.0))
         self._chan.setdefault((rank, dst, tag), deque()).append(avail)
         if blocking:
             self._set_clk(rank, inj_done)
@@ -371,27 +433,23 @@ class GraphRecorder:
 
     def _finish_recv(self, rank: int, avail: int, nbytes: int) -> None:
         b = float(nbytes)
-        arrived = self._new_node(
-            rank,
-            ((avail, 0.0, 0.0, b, 0.0), (self._ej[rank], 0.0, 0.0, b, 0.0)),
-        )
+        arrived = self._new_node(rank, (avail, 0.0, 0.0, b, 0.0, self._ej[rank], 0.0, 0.0, b, 0.0))
         self._ej[rank] = arrived
         done = self._new_node(
-            rank,
-            (self._clk_edge(rank, const=self._o), (arrived, 0.0, 0.0, 0.0, 0.0)),
+            rank, self._clk_edge(rank, const=self._o) + (arrived, 0.0, 0.0, 0.0, 0.0)
         )
         self._set_clk(rank, done)
 
-    def on_recv_complete(self, rank: int, src: int, tag: int, nbytes: int) -> None:
+    def _recv_complete(self, rank: int, src: int, tag: int, nbytes: int) -> None:
         self._finish_recv(rank, self._chan[(src, rank, tag)].popleft(), nbytes)
 
-    def on_irecv_bind(self, rank: int, src: int, tag: int, req: int) -> None:
+    def _irecv_bind(self, rank: int, src: int, tag: int, req: int) -> None:
         self._req[rank][req] = self._chan[(src, rank, tag)].popleft()
 
-    def on_wait_complete(self, rank: int, req: int, nbytes: int) -> None:
+    def _wait_complete(self, rank: int, req: int, nbytes: int) -> None:
         self._finish_recv(rank, self._req[rank].pop(req), nbytes)
 
-    def on_collective(
+    def _collective(
         self,
         kind: OpKind,
         members: Sequence[int],
@@ -407,47 +465,87 @@ class GraphRecorder:
             # Every member completes at max over members of
             # clk + o + alpha_count*L + bytes/B: one shared node.
             done = self._new_node(
-                -2, tuple(self._clk_edge(m, const=o, alpha=a, nbytes=b) for m in members)
+                -2, [x for m in members for x in self._clk_edge(m, const=o, alpha=a, nbytes=b)]
             )
             for m in members:
                 self._set_clk(m, done)
         elif kind in (OpKind.BCAST, OpKind.SCATTER):
-            root_done = self._new_node(root, (self._clk_edge(root, const=o, alpha=a, nbytes=b),))
+            root_done = self._new_node(root, self._clk_edge(root, const=o, alpha=a, nbytes=b))
             for m in members:
                 if m == root:
                     self._set_clk(m, root_done)
                 else:
                     done = self._new_node(
-                        m, (self._clk_edge(m, const=o), (root_done, 0.0, 0.0, 0.0, 0.0))
+                        m, self._clk_edge(m, const=o) + (root_done, 0.0, 0.0, 0.0, 0.0)
                     )
                     self._set_clk(m, done)
         else:  # REDUCE / GATHER
             root_done = self._new_node(
-                -2, tuple(self._clk_edge(m, const=o, alpha=a, nbytes=b) for m in members)
+                -2, [x for m in members for x in self._clk_edge(m, const=o, alpha=a, nbytes=b)]
             )
             for m in members:
                 if m == root:
                     self._set_clk(m, root_done)
                 else:
                     done = self._new_node(
-                        m, (self._clk_edge(m, const=o, alpha=1.0, nbytes=float(nbytes)),)
+                        m, self._clk_edge(m, const=o, alpha=1.0, nbytes=float(nbytes))
                     )
                     self._set_clk(m, done)
+
+    def _build(self) -> None:
+        """Apply the logged hook calls, in order, to the graph."""
+        log = self._log
+        i, n = 0, len(log)
+        while i < n:
+            code = log[i]
+            if code == _SEND:
+                self._send(log[i + 1], log[i + 2], log[i + 3], log[i + 4], log[i + 5])
+                i += 6
+            elif code == _OVERHEAD:
+                self._pend_const[log[i + 1]] += self._o
+                i += 2
+            elif code == _WAIT:
+                self._wait_complete(log[i + 1], log[i + 2], log[i + 3])
+                i += 4
+            elif code == _BIND:
+                self._irecv_bind(log[i + 1], log[i + 2], log[i + 3], log[i + 4])
+                i += 5
+            elif code == _RECV:
+                self._recv_complete(log[i + 1], log[i + 2], log[i + 3], log[i + 4])
+                i += 5
+            elif code == _COMPUTE:
+                self._pend_comp[log[i + 1]] += log[i + 2]
+                i += 3
+            else:
+                self._collective(*log[i + 1 : i + 7])
+                i += 7
+        self._log = []
 
     # -- finalization ------------------------------------------------------
 
     def finish(self) -> DependencyGraph:
-        """Seal the tape: add the terminal node (the application's total
-        is the max over every rank's final clock) and freeze the arrays."""
-        terminal = self._new_node(-1, tuple(self._clk_edge(r) for r in range(self.nranks)))
+        """Build the graph from the hook log, add the terminal node (the
+        application's total is the max over every rank's final clock) and
+        freeze the arrays."""
+        self._build()
+        terminal = self._new_node(
+            -1, [x for r in range(self.nranks) for x in self._clk_edge(r)]
+        )
+        # One (n_edges, 5) array; the cost columns are views into it and
+        # predecessor ids are exact in float64.  The lists go before the
+        # graph is sealed, which keeps the recording's peak memory down.
+        edges = np.asarray(self._flat, dtype=float).reshape(-1, 5)
+        starts = np.asarray(self._starts, dtype=np.int64) // 5
+        node_rank = np.asarray(self._rank_of, dtype=np.int64)
+        self._flat, self._starts, self._rank_of = [], [], []
         return DependencyGraph(
-            pred=np.asarray(self._ep, dtype=np.int64),
-            const=np.asarray(self._ec, dtype=float),
-            alpha=np.asarray(self._ea, dtype=float),
-            nbytes=np.asarray(self._eb, dtype=float),
-            compute=np.asarray(self._ew, dtype=float),
-            starts=np.asarray(self._starts, dtype=np.int64),
-            node_rank=np.asarray(self._rank_of, dtype=np.int64),
+            pred=edges[:, 0].astype(np.int64),
+            const=edges[:, 1],
+            alpha=edges[:, 2],
+            nbytes=edges[:, 3],
+            compute=edges[:, 4],
+            starts=starts,
+            node_rank=node_rank,
             terminal=terminal,
             baseline=self._baseline,
         )

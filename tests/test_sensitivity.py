@@ -54,7 +54,7 @@ class TestGraphFidelity:
         graph, report = record_graph(trace, CIELITO)
         tape = float(graph.evaluate(
             CIELITO.latency, CIELITO.bandwidth, CIELITO.compute_scale)[0])
-        assert tape == pytest.approx(float(report.total_time[0]), rel=1e-9)
+        assert tape == pytest.approx(report.baseline_total_time, rel=1e-9)
 
     def test_offbaseline_matches_fresh_replay(self):
         trace = npb_trace()
@@ -85,7 +85,7 @@ class TestGraphFidelity:
     def test_critical_path_decomposition_covers_total(self):
         graph, report = record_graph(npb_trace(), CIELITO)
         cp = graph.critical_path()
-        assert cp.total == pytest.approx(float(report.total_time[0]), rel=1e-9)
+        assert cp.total == pytest.approx(report.baseline_total_time, rel=1e-9)
         parts = cp.compute_time + cp.latency_time + cp.bandwidth_time + cp.overhead_time
         assert parts == pytest.approx(cp.total, rel=1e-9)
         assert cp.n_edges > 0
@@ -99,7 +99,7 @@ class TestGraphFidelity:
             graph, report = record_graph(trace, machine)
             tape = float(graph.evaluate(
                 machine.latency, machine.bandwidth, machine.compute_scale)[0])
-            assert tape == pytest.approx(float(report.total_time[0]), rel=1e-9)
+            assert tape == pytest.approx(report.baseline_total_time, rel=1e-9)
 
 
 class TestToleranceAnalytics:
@@ -107,7 +107,7 @@ class TestToleranceAnalytics:
         graph, report = record_graph(npb_trace(), CIELITO)
         curve = latency_curve(graph, CIELITO)
         assert curve[0][0] == 1.0
-        assert curve[0][1] == pytest.approx(float(report.total_time[0]), rel=1e-9)
+        assert curve[0][1] == pytest.approx(report.baseline_total_time, rel=1e-9)
         totals = [t for _, t in curve]
         assert totals == sorted(totals)
 
