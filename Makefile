@@ -62,6 +62,8 @@ bench-lint:
 # Simulation perf trajectory: replay the fixed seeded bench corpus
 # through every engine scalar vs vectorized, record BENCH_8.json, and
 # fail if the vectorized path regresses >10% behind scalar anywhere.
+# Both paths share one event drain; they differ in flow state and op
+# streams (compiled streams over a shared per-trace prep).
 bench-sim:
 	$(PYTHON) -m repro.bench --out BENCH_8.json --check
 

@@ -5,7 +5,12 @@ Replays a fixed seeded mini-corpus through every simulation engine
 once on the vectorized path — plus the MFACT analytic model, and
 reports records/sec and events/sec per engine.  The two paths produce
 bit-identical results (enforced inline here and by the differential
-equivalence suite), so the comparison is pure performance.
+equivalence suite), so the comparison is pure performance.  They share
+one event drain (:class:`~repro.sim.engine.EventEngine` pops one heap
+entry per event on both), so what the speedups measure is the flow and
+packet-flow state and the compiled op streams.  The packet model has a
+single implementation, so its ratio comes only from the compiled op
+streams and the per-trace prep that each scalar pass rebuilds.
 
 Methodology, chosen for a noisy shared machine:
 

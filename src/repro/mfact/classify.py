@@ -72,6 +72,10 @@ def _relative_increase(
     lat_factor: float,
 ) -> float:
     baseline = total_time[grid.baseline]
+    if baseline == 0.0:
+        # A zero-time trace (no ops, or only zero-length compute) has
+        # nothing for a slower network to stretch.
+        return 0.0
     slow = total_time[grid.find(bw_factor, lat_factor, machine)]
     return float(slow / baseline - 1.0)
 

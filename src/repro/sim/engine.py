@@ -5,24 +5,18 @@ ordering for simultaneous events.  Network models and the MPI replay
 layer schedule callbacks; the engine guarantees callbacks run in
 non-decreasing virtual time.
 
-The engine has two drain loops over the same queue:
-
-* the **scalar** reference loop pops one heap entry per event — the
-  historical path, kept as the executable specification;
-* the **batched** loop (default, see :mod:`repro.sim.modes`) drains
-  every entry at the current clock into a reusable event pool in one
-  sweep and dispatches the pool linearly.  Callbacks that schedule new
-  work at exactly the batch timestamp append straight onto the live
-  pool — skipping the heap entirely — which is where bulk-synchronous
-  phases (a collective round finishing a thousand flows at one instant)
-  recover their ``heappush``/``heappop`` cost.
-
-Both loops process callbacks in the identical total order — (time,
-scheduling sequence) — proven by the differential and property suites
-in ``tests/test_event_batch_properties.py``: an event scheduled from
-inside a batch has a scheduling sequence above everything already
-drained, so appending it to the pool tail is exactly the order the heap
-would have produced.
+The engine has one drain: pop the (time, scheduling sequence) minimum
+off a binary heap and run it, one ``heappop`` per event.  An earlier
+batched drain swept every entry at the current clock into a reusable
+pool and let same-timestamp children skip the heap; it dispatched the
+identical order but was slower on every engine, because almost every
+packet event has a timestamp of its own, so the per-timestamp sweep
+cost about as much as a packet's route walk.  Measured with identical
+results on a shared 2-vCPU VM (DESIGN.md, item 11): packet 1.11-1.24 s
+→ 0.71-0.94 s on the five ``cold-corpus`` traces, flow 0.24 →
+0.18-0.20 s and packet-flow 0.17-0.19 → 0.14-0.15 s on the 24
+``cold-mini`` traces.  ``tests/test_event_batch_properties.py`` keeps
+the batched drain as an oracle the heap loop is diffed against.
 
 Budget enforcement is cooperative: :meth:`EventEngine.run` checks the
 event count on every event and the wall clock every ``check_every``
@@ -48,7 +42,6 @@ import time
 from typing import Callable, List, Optional, Tuple
 
 from repro import obs
-from repro.sim import modes
 from repro.util.budget import EventBudgetExceeded, WallClockExceeded
 
 __all__ = ["EventEngine", "DEFAULT_MAX_EVENTS"]
@@ -71,7 +64,7 @@ class EventEngine:
     deep inside :mod:`multiprocessing` with an opaque closure error.
     """
 
-    def __init__(self, vectorized: Optional[bool] = None):
+    def __init__(self):
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._now = 0.0
@@ -79,17 +72,6 @@ class EventEngine:
         self._wall_budget = 0.0
         self._wall_start = 0.0
         self.events_processed = 0
-        self.vectorized = modes.resolve(vectorized)
-        # Reusable same-timestamp event pool for the batched drain; the
-        # list persists across run() calls so repeated replays in one
-        # worker never reallocate it.
-        self._batch: List[Callable[[], None]] = []
-        self._batch_active = False
-        self._batch_when = 0.0
-        # Tallies folded into metrics by run(); instance attributes so a
-        # budget abort mid-drain still reports the events it processed.
-        self._run_processed = 0
-        self._run_depth_max = 0
 
     def __getstate__(self):
         raise TypeError(
@@ -132,11 +114,7 @@ class EventEngine:
         """Schedule ``callback`` at virtual time ``when``.
 
         ``when`` must not precede the current virtual time (conservative
-        execution); simultaneous events run in scheduling order.  While
-        the batched drain is dispatching a pool at exactly ``when``, the
-        callback joins the live pool directly: had it been heappushed it
-        would carry a sequence number above every entry already drained,
-        so tail-append *is* heap order.
+        execution); simultaneous events run in scheduling order.
         """
         self._seq += 1
         self.push(when, self._seq, callback)
@@ -156,21 +134,15 @@ class EventEngine:
     def push(self, when: float, seq: int, callback: Callable[[], None]) -> None:
         """Enqueue ``callback`` at ``when`` under ``seq`` from :meth:`reserve`.
 
-        Follows :meth:`schedule`'s rule: at exactly the live batch's
-        timestamp the callback joins the pool, anywhere else it goes on
-        the heap with the given ``seq``.  Dispatch order then equals
-        scheduling every reserved entry up front, provided the caller
-        pushes each entry before the clock reaches ``when`` — or, at
-        ``when == now``, only with a ``seq`` above everything already
-        queued at ``now``.  Only the past-time half is checked here (the
+        Dispatch order then equals scheduling every reserved entry up
+        front, provided the caller pushes each entry before the clock
+        reaches ``when`` — or, at ``when == now``, only with a ``seq``
+        above everything already queued at ``now``.  Only the past-time half is checked here (the
         same conservative-execution guard as :meth:`schedule`); callers
         (the packet model's trains) guarantee the rest by construction.
         """
         if when < self._now - 1e-15:
             raise ValueError(f"cannot schedule at {when} before current time {self._now}")
-        if self._batch_active and when == self._batch_when:
-            self._batch.append(callback)
-            return
         heapq.heappush(self._queue, (when, seq, callback))
 
     def run(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
@@ -180,42 +152,21 @@ class EventEngine:
         events are processed and :class:`WallClockExceeded` when an
         armed wall deadline (see :meth:`set_wall_deadline`) passes —
         the wall check runs every ``_WALL_CHECK_EVERY`` events so its
-        cost is amortized away.
+        cost is amortized away.  ``self._queue`` is never rebound, so
+        the loop (and the packet model's trains) may hold it as a local.
         """
         track = obs.enabled()
-        self._run_processed = 0
-        self._run_depth_max = len(self._queue) if track else 0
-        wall_aborted = False
-        try:
-            if self.vectorized:
-                self._drain_batched(max_events, track)
-            else:
-                self._drain_scalar(max_events, track)
-        except WallClockExceeded:
-            wall_aborted = True
-            raise
-        finally:
-            self.events_processed += self._run_processed
-            if track and self._run_processed:
-                self._flush_metrics(self._run_processed, self._run_depth_max, wall_aborted)
-
-    def _drain_scalar(self, max_events: int, track: bool) -> None:
-        """Reference loop: one ``heappop`` per event, in (time, seq) order.
-
-        Always reads the queue through ``self._queue``'s local alias —
-        safe only because nothing ever rebinds ``self._queue`` (callbacks
-        *push* to it via :meth:`schedule`); the batched drain below
-        re-reads the heap top each sweep for the same reason.
-        """
         queue = self._queue
+        heappop = heapq.heappop
         processed = 0
         check_wall = self._wall_deadline is not None
-        depth_max = self._run_depth_max
+        depth_max = len(queue) if track else 0
+        wall_aborted = False
         try:
             while queue:
                 if track and len(queue) > depth_max:
                     depth_max = len(queue)
-                when, _, callback = heapq.heappop(queue)
+                when, _, callback = heappop(queue)
                 self._now = when
                 callback()
                 processed += 1
@@ -225,79 +176,13 @@ class EventEngine:
                     )
                 if check_wall and processed % _WALL_CHECK_EVERY == 0:
                     self.check_budget()
+        except WallClockExceeded:
+            wall_aborted = True
+            raise
         finally:
-            self._run_processed = processed
-            self._run_depth_max = depth_max
-
-    def _drain_batched(self, max_events: int, track: bool) -> None:
-        """Batched loop: drain all entries at the current clock, dispatch.
-
-        The pool is dispatched by index (never an iterator) because
-        callbacks extend it in place through the :meth:`schedule` fast
-        path; the dispatch loop re-reads ``len(batch)`` so a
-        same-timestamp event scheduled from inside the batch runs in
-        this very sweep.  The pool is an append-only log for the whole
-        drain — each sweep dispatches its ``[start, end)`` window and
-        the next sweep's pops append after it — so the per-timestamp
-        cost is two attribute stores, not a ``try/finally`` plus a pool
-        clear.  Entries behind ``start`` are dead; the log is dropped
-        once on exit.
-        """
-        queue = self._queue
-        batch = self._batch
-        batch_append = batch.append
-        heappop = heapq.heappop
-        processed = 0
-        check_wall = self._wall_deadline is not None
-        depth_max = self._run_depth_max
-        start = 0
-        try:
-            self._batch_active = True
-            while queue:
-                if track and len(queue) > depth_max:
-                    depth_max = len(queue)
-                when = queue[0][0]
-                while queue and queue[0][0] <= when:
-                    batch_append(heappop(queue)[2])
-                self._now = when
-                self._batch_when = when
-                # Dispatch in runs: a same-timestamp event scheduled
-                # from inside the batch lands past ``end`` and is
-                # picked up when the current run is exhausted, so
-                # ``len`` is read once per run instead of per event.
-                # A run that cannot possibly trip a budget (no wall
-                # deadline armed, event count stays within budget)
-                # dispatches unchecked; otherwise the checks stay
-                # per event so aborts fire at the exact event the
-                # scalar loop would.
-                end = len(batch)
-                while start < end:
-                    if not check_wall and processed + (end - start) <= max_events:
-                        # Per-event increment (not one += per run) so
-                        # ``events_processed`` stays exact if a
-                        # callback raises mid-run.
-                        for callback in batch[start:end]:
-                            callback()
-                            processed += 1
-                    else:
-                        for i in range(start, end):
-                            batch[i]()
-                            processed += 1
-                            if processed > max_events:
-                                raise EventBudgetExceeded(
-                                    events_executed=processed,
-                                    sim_time_reached=when,
-                                    budget=max_events,
-                                )
-                            if check_wall and processed % _WALL_CHECK_EVERY == 0:
-                                self.check_budget()
-                    start = end
-                    end = len(batch)
-        finally:
-            self._batch_active = False
-            del batch[:]
-            self._run_processed = processed
-            self._run_depth_max = depth_max
+            self.events_processed += processed
+            if track and processed:
+                self._flush_metrics(processed, depth_max, wall_aborted)
 
     @staticmethod
     def _flush_metrics(processed: int, depth_max: int, wall_aborted: bool) -> None:

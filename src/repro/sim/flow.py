@@ -22,8 +22,8 @@ triggering a thousand full recomputations:
   :data:`FINISH_HORIZON`, delivering them at most a few microseconds
   early — far below the model's accuracy floor.
 
-The model keeps flow state two ways, selected by the engine's mode
-(:mod:`repro.sim.modes`): the scalar reference path stores one
+The model keeps flow state two ways, selected by its ``vectorized``
+flag (:mod:`repro.sim.modes`): the scalar reference path stores one
 :class:`_Flow` object per flow and loops over them in Python, while the
 fast path keeps remaining-bytes and rate in parallel struct-of-lists
 with routes and propagation latencies cached per (src, dst), a
@@ -40,7 +40,7 @@ differential equivalence suite.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,8 +97,9 @@ class FlowModel(NetworkModel):
 
     name = "flow"
 
-    def __init__(self, fabric: Fabric, engine, ripple: bool = True):
-        super().__init__(fabric, engine)
+    def __init__(self, fabric: Fabric, engine, ripple: bool = True,
+                 vectorized: Optional[bool] = None):
+        super().__init__(fabric, engine, vectorized)
         machine = fabric.machine
         self._caps = np.full(fabric.nresources, machine.bandwidth)
         nlinks = fabric.topology.nlinks
@@ -115,7 +116,6 @@ class FlowModel(NetworkModel):
         self._dirty = False
         self.ripple = bool(ripple)
         self.ripple_updates = 0
-        self._vectorized = bool(getattr(engine, "vectorized", False))
         # Fast-path state: parallel struct-of-lists indexed 0.._n-1.
         # Plain Python lists beat numpy arrays here — the active flow
         # count is single digits for the corpus traffic shapes, well
@@ -164,13 +164,13 @@ class FlowModel(NetworkModel):
 
     def _count(self) -> int:
         """Active flow count in whichever representation is live."""
-        return self._n if self._vectorized else len(self._flows)
+        return self._n if self.vectorized else len(self._flows)
 
     # -- fluid machinery (scalar reference path) -------------------------
 
     def _progress(self, now: float) -> None:
         """Drain bytes at current rates up to ``now``."""
-        if self._vectorized:
+        if self.vectorized:
             self._progress_vec(now)
             return
         dt = now - self._last_update
@@ -183,7 +183,7 @@ class FlowModel(NetworkModel):
 
     def _recompute_rates(self) -> None:
         """Max-min water-filling over all active flows (the ripple)."""
-        if self._vectorized:
+        if self.vectorized:
             self._recompute_rates_vec()
             return
         flows = self._flows
@@ -427,7 +427,7 @@ class FlowModel(NetworkModel):
             self._dirty = True
             self.engine.schedule(
                 self.engine._now + RIPPLE_COALESCE,
-                self._recompute_event_vec if self._vectorized else self._recompute_event,
+                self._recompute_event_vec if self.vectorized else self._recompute_event,
             )
 
     def _recompute_event(self) -> None:
@@ -454,7 +454,7 @@ class FlowModel(NetworkModel):
 
     def _arm(self) -> None:
         """(Re)schedule the single completion event at the earliest ETA."""
-        if self._vectorized:
+        if self.vectorized:
             self._arm_vec()
             return
         self._version += 1
@@ -498,7 +498,7 @@ class FlowModel(NetworkModel):
 
     def _harvest(self) -> bool:
         """Complete every flow already done or due within the horizon."""
-        if self._vectorized:
+        if self.vectorized:
             return self._harvest_vec()
         now = self.engine.now
         finished = [
@@ -653,7 +653,7 @@ class FlowModel(NetworkModel):
     def transfer(self, src_rank, dst_rank, nbytes, start, deliver):
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        if self._vectorized:
+        if self.vectorized:
             # Inlined route-cache probe (see _route_of, kept for the
             # cold path and tests).
             hit = self._route_cache.get((src_rank, dst_rank))

@@ -1,10 +1,10 @@
 """Scalar/vectorized simulation-path selection.
 
-Every simulation hot path in this package exists twice: a *scalar*
-reference implementation (the straightforward per-event, per-object
-code the engines shipped with) and a *vectorized* implementation
-(batched event drains, numpy flow state, cached routes and compiled op
-streams).  Both produce byte-identical canonical
+The flow and packet-flow model state and the replay's op dispatch
+exist twice in this package: a *scalar* reference implementation (the
+straightforward per-event, per-object code the engines shipped with)
+and a *vectorized* implementation (numpy flow state, cached routes and
+compiled op streams).  The event engine has one drain for both.  Both produce byte-identical canonical
 :class:`~repro.core.pipeline.StudyRecord` output — enforced by
 ``tests/test_vectorized_equivalence.py`` — so the scalar path serves as
 the executable specification the fast path is differentially tested
@@ -15,8 +15,8 @@ environment (read once at import) or call :func:`set_default_vectorized`
 to flip the process default.  Call sites that need an explicit mode
 (the executor ships the parent's resolved choice to its workers; the
 bench harness runs both) pass ``vectorized=True/False`` down through
-:func:`~repro.sim.mpi_replay.simulate_trace` and resolve it with
-:func:`resolve`.
+:func:`~repro.sim.mpi_replay.simulate_trace` to the network model and
+resolve it with :func:`resolve`.
 """
 
 from __future__ import annotations

@@ -221,11 +221,13 @@ class SimReplay:
         self.original = trace
         self.machine = machine
         self.vectorized = modes.resolve(vectorized)
-        self.engine = EventEngine(vectorized=self.vectorized)
+        self.engine = EventEngine()
         if shared is not None and fabric is None:
             fabric = shared.fabric
         self.fabric = fabric if fabric is not None else Fabric(trace, machine)
-        self.model = model_cls(self.fabric, self.engine, **model_kwargs)
+        self.model = model_cls(
+            self.fabric, self.engine, vectorized=self.vectorized, **model_kwargs
+        )
         self.model.check_trace(trace)
         # ``shared`` must have been built from this same (trace, machine)
         # pair; it saves re-expanding and re-compiling per engine.

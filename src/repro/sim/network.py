@@ -13,6 +13,7 @@ from abc import ABC, abstractmethod
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.machines.config import MachineConfig
+from repro.sim import modes
 from repro.topology.base import Topology
 from repro.topology.mapping import block_mapping, build_topology, random_mapping
 from repro.trace.trace import TraceSet
@@ -107,9 +108,13 @@ class NetworkModel(ABC):
     #: Human-readable model name ("packet", "flow", "packet-flow").
     name: str = "abstract"
 
-    def __init__(self, fabric: Fabric, engine):
+    def __init__(self, fabric: Fabric, engine, vectorized: Optional[bool] = None):
         self.fabric = fabric
         self.engine = engine
+        #: Scalar or vectorized model state, for the models that keep
+        #: both (flow, packet-flow); ``None`` is the process default
+        #: (see :mod:`repro.sim.modes`).  The packet model has one path.
+        self.vectorized = modes.resolve(vectorized)
         self.messages_sent = 0
         self.bytes_sent = 0
 

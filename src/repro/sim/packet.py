@@ -16,14 +16,17 @@ packets of size ``P`` puts packet ``k < n - 1`` on the network at
 ``start + k * P * inj_serial``.  ``transfer`` reserves the ``n``
 sequence numbers that scheduling every packet up front would take
 (:meth:`~repro.sim.engine.EventEngine.reserve`) and pushes just two
-entries: packet 0 and the last packet.  When full packet ``k`` fires it
-walks its route and pushes packet ``k + 1`` under its reserved number
-(:meth:`~repro.sim.engine.EventEngine.push`).  Full-packet entry times
-strictly increase, so each successor is queued before the clock reaches
-it, and the engine pops the same (time, sequence) order — one callback
-per packet — as if all ``n`` had been scheduled at once.  Event counts
-and every simulated time are unchanged; the queue holds at most two
-entries per message instead of ``n``.
+entries with :meth:`~repro.sim.engine.EventEngine.push`: packet 0 and
+the last packet.  When full packet ``k`` fires it walks its route
+inline, from its own entry time and with per-hop full-packet
+serialization times computed once per route, and puts packet ``k + 1``
+straight onto the engine's heap under its reserved number.  Full-packet
+entry times strictly increase, so each successor is queued before the
+clock reaches it (which is why it can skip ``push``'s past-time guard),
+and the engine pops the same (time, sequence) order — one callback per
+packet — as if all ``n`` had been scheduled at once.  Event counts and
+every simulated time are unchanged; the queue holds at most two entries
+per message instead of ``n``.
 
 **Last-packet entry rule.**  When ``nbytes`` is not a multiple of ``P``
 the last packet carries the remainder ``r = nbytes - (n - 1) * P`` and
@@ -37,7 +40,8 @@ depend on it, so it stays.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Tuple
+from heapq import heappush
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.network import Fabric, NetworkModel, UnsupportedTraceError
 from repro.trace.trace import TraceSet
@@ -51,10 +55,14 @@ DEFAULT_PACKET_SIZE = 1 * KIB
 #: Intra-node transfers move at this multiple of the NIC bandwidth.
 LOCAL_BANDWIDTH_FACTOR = 4.0
 
-#: One route hop: (resource, serialization seconds per byte, latency
-#: added after the hop).  Injection adds no latency, fabric links the
-#: switch hop latency, and ejection the endpoint latency.
+#: One route hop: (resource, serialization seconds, latency added after
+#: the hop).  Serialization is per byte in a route's ``hops`` and per full
+#: packet in its ``full`` twin.  Injection adds no latency, fabric links
+#: the switch hop latency, and ejection the endpoint latency.
 Hop = Tuple[int, float, float]
+
+#: A route's hops, per byte and per full packet.
+Route = Tuple[Tuple[Hop, ...], Tuple[Hop, ...]]
 
 
 class PacketModel(NetworkModel):
@@ -62,8 +70,9 @@ class PacketModel(NetworkModel):
 
     name = "packet"
 
-    def __init__(self, fabric: Fabric, engine, packet_size: int = DEFAULT_PACKET_SIZE):
-        super().__init__(fabric, engine)
+    def __init__(self, fabric: Fabric, engine, packet_size: int = DEFAULT_PACKET_SIZE,
+                 vectorized: Optional[bool] = None):
+        super().__init__(fabric, engine, vectorized)
         if packet_size < 1:
             raise ValueError(f"packet_size must be >= 1 byte, got {packet_size}")
         self.packet_size = int(packet_size)
@@ -76,7 +85,10 @@ class PacketModel(NetworkModel):
         self._endpoint_latency = machine.latency
         self._local_rate = LOCAL_BANDWIDTH_FACTOR * machine.effective_injection_bandwidth
         self.packets_sent = 0
-        self._hops: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
+        self._routes: Dict[Tuple[int, int], Route] = {}
+        #: The engine's heap, which trains push their successors onto
+        #: directly (the engine never rebinds it).
+        self._queue = engine._queue
 
     def check_trace(self, trace: TraceSet) -> None:
         """SST/Macro 3.0's packet engine cannot replay multi-threaded traces."""
@@ -85,23 +97,27 @@ class PacketModel(NetworkModel):
                 f"packet model cannot replay multi-threaded trace {trace.name!r}"
             )
 
-    def _hops_of(self, src_rank: int, dst_rank: int) -> Tuple[Hop, ...]:
+    def _route_of(self, src_rank: int, dst_rank: int) -> Route:
         route = self.fabric.route(src_rank, dst_rank)
         last = len(route) - 1
-        hops = self._hops[(src_rank, dst_rank)] = tuple(
+        hops = tuple(
             (resource, self._inj_serial, 0.0) if pos == 0
             else (resource, self._link_serial,
                   self._endpoint_latency if pos == last else self._hop_latency)
             for pos, resource in enumerate(route)
         )
-        return hops
+        size = self.packet_size
+        full = tuple((resource, size * per_byte, latency) for resource, per_byte, latency in hops)
+        cached = self._routes[(src_rank, dst_rank)] = (hops, full)
+        return cached
 
     def transfer(self, src_rank, dst_rank, nbytes, start, deliver):
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        hops = self._hops.get((src_rank, dst_rank))
-        if hops is None:
-            hops = self._hops_of(src_rank, dst_rank)
+        route = self._routes.get((src_rank, dst_rank))
+        if route is None:
+            route = self._route_of(src_rank, dst_rank)
+        hops, full = route
         engine = self.engine
         if not hops:
             done = start + self.fabric.machine.software_overhead + nbytes / self._local_rate
@@ -114,7 +130,7 @@ class PacketModel(NetworkModel):
         last = npackets - 1
         tail = nbytes - last * size if nbytes % size else size
         base = engine.reserve(npackets)
-        train = _Train(self, hops, start, base, last, tail, deliver)
+        train = _Train(self, hops, full, start, base, last, tail, deliver)
         if last:
             engine.push(start, base, train)
         engine.push(start + last * tail * self._inj_serial, base + last, train.last_packet)
@@ -125,45 +141,60 @@ class _Train:
 
     Calling the train fires its next full packet; :meth:`last_packet`
     is the separate entry ``transfer`` pushes for the final packet.  The
-    train delivers the message once every packet has arrived.
+    train delivers the message once every packet has arrived — after
+    whichever packet fires last, which can be a full one, because the
+    last packet may enter early (see the module doc).
     """
 
     __slots__ = (
-        "model", "hops", "start", "base", "last", "tail", "next", "remaining",
-        "arrival", "deliver",
+        "model", "hops", "full", "start", "base", "last", "tail", "next", "at",
+        "remaining", "arrival", "deliver",
     )
 
-    def __init__(self, model: PacketModel, hops, start: float, base: int, last: int,
+    def __init__(self, model: PacketModel, hops, full, start: float, base: int, last: int,
                  tail: int, deliver):
         self.model = model
         self.hops = hops
+        self.full = full
         self.start = start
         self.base = base
         self.last = last
         self.tail = tail
         self.next = 0
+        self.at = start
         self.remaining = last + 1
         self.arrival = start
         self.deliver = deliver
 
     def __call__(self) -> None:
-        """Fire full packet ``next``; push packet ``next + 1`` unless it is the last."""
+        """Fire full packet ``next`` at its entry time ``at``; queue packet
+        ``next + 1`` unless it is the last, else deliver if this was the
+        final packet to fire."""
         model = self.model
-        size = model.packet_size
-        self._fly(size)
+        free = model._free
+        t = self.at
+        for resource, serial, latency in self.full:
+            f = free[resource]
+            depart = (f if f > t else t) + serial
+            free[resource] = depart
+            t = depart + latency
+        if t > self.arrival:
+            self.arrival = t
+        self.remaining -= 1
         k = self.next + 1
         if k < self.last:
             self.next = k
-            model.engine.push(self.start + k * size * model._inj_serial, self.base + k, self)
+            at = self.at = self.start + k * model.packet_size * model._inj_serial
+            heappush(model._queue, (at, self.base + k, self))
+        elif not self.remaining:
+            done = self.arrival
+            model.engine.schedule(done, partial(self.deliver, done))
 
     def last_packet(self) -> None:
         """Fire the last packet, whose size is the remainder (see module doc)."""
-        self._fly(self.tail)
-
-    def _fly(self, size: int) -> None:
-        """Walk one ``size``-byte packet along the route from the current time."""
         model = self.model
         free = model._free
+        size = self.tail
         t = model.engine.now
         for resource, per_byte, latency in self.hops:
             f = free[resource]

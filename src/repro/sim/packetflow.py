@@ -25,7 +25,7 @@ suite holds the two paths byte-identical.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,8 +52,9 @@ class PacketFlowModel(NetworkModel):
     #: relative to the per-packet arbitration real SST/Macro performs.
     MULTIPLEX_CHARGE = 0.5
 
-    def __init__(self, fabric: Fabric, engine, chunk_size: int = DEFAULT_CHUNK_SIZE):
-        super().__init__(fabric, engine)
+    def __init__(self, fabric: Fabric, engine, chunk_size: int = DEFAULT_CHUNK_SIZE,
+                 vectorized: Optional[bool] = None):
+        super().__init__(fabric, engine, vectorized)
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1 byte, got {chunk_size}")
         self.chunk_size = int(chunk_size)
@@ -70,7 +71,6 @@ class PacketFlowModel(NetworkModel):
         #: chasing fabric.machine per message.
         self._soft_overhead = machine.software_overhead
         self.packets_sent = 0
-        self._vectorized = bool(getattr(engine, "vectorized", False))
         #: Fast-path twins of the occupancy/serialization arrays as
         #: plain Python lists (unboxed index + float arithmetic).
         self._active_list: List[int] = [0] * fabric.nresources
@@ -99,7 +99,7 @@ class PacketFlowModel(NetworkModel):
     def transfer(self, src_rank, dst_rank, nbytes, start, deliver):
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        if self._vectorized:
+        if self.vectorized:
             # Inlined route-cache probe (see _route_of, kept for the
             # cold path and tests).
             key = (src_rank, dst_rank)

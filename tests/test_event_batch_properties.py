@@ -1,17 +1,21 @@
-"""Property tests for the batched event queue (PR 8 tentpole).
+"""Property tests for the event engine's one drain against the batched oracle.
 
-The batched drain (:meth:`EventEngine._drain_batched`) must process
-callbacks in the *identical total order* as the scalar one-``heappop``
--per-event reference loop — (time, scheduling sequence) order — under
-every adversarial schedule Hypothesis can construct: duplicate
-timestamps, ties broken only by scheduling order, and events scheduled
-from *inside* a batch dispatch at the batch's own timestamp (the
-fast path that appends to the live pool and skips the heap entirely).
+:class:`~repro.sim.engine.EventEngine` pops one heap entry per event, in
+(time, scheduling sequence) order.  It replaced a batched drain that
+swept every entry at the current clock into a pool and let events
+scheduled at the live timestamp join the pool instead of the heap.
+:class:`OracleBatchedEngine` below is that drain, kept as an oracle: the
+two must run callbacks in the identical order and observe the identical
+clocks, count the same events, and abort an event budget at the same
+event, under every adversarial schedule Hypothesis can construct —
+duplicate timestamps, ties broken only by scheduling order, and events
+scheduled from *inside* a dispatch at the current timestamp (the
+oracle's pool fast path).
 
 The plans generated here are two-level trees: top-level events at
 times drawn from a small pool (forcing heavy timestamp collisions),
 each optionally scheduling children at non-negative offsets when it
-runs — offset ``0.0`` lands exactly on the live batch.
+runs — offset ``0.0`` lands exactly on the current timestamp.
 
 The train plans at the end check the lazy-push contract the packet
 model relies on: entries enqueued later with :meth:`EventEngine.push`
@@ -19,11 +23,58 @@ under sequence numbers from :meth:`EventEngine.reserve` dispatch exactly
 as if every entry had been scheduled up front.
 """
 
+import heapq
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import EventEngine
+from repro.sim.engine import DEFAULT_MAX_EVENTS, EventEngine
+from repro.util.budget import EventBudgetExceeded
+
+
+class OracleBatchedEngine(EventEngine):
+    """The batched drain: sweep every entry at the clock into a pool,
+    dispatch the pool in order; a callback pushing at exactly the pool's
+    timestamp appends to the live pool instead of the heap (its sequence
+    number is above everything drained, so tail-append is heap order)."""
+
+    def __init__(self):
+        super().__init__()
+        self._pool = None
+
+    def push(self, when, seq, callback):
+        if self._pool is not None and when == self._now:
+            self._pool.append(callback)
+            return
+        super().push(when, seq, callback)
+
+    def run(self, max_events=DEFAULT_MAX_EVENTS):
+        queue = self._queue
+        processed = 0
+        try:
+            while queue:
+                when = queue[0][0]
+                pool = self._pool = []
+                while queue and queue[0][0] <= when:
+                    pool.append(heapq.heappop(queue)[2])
+                self._now = when
+                i = 0
+                while i < len(pool):
+                    pool[i]()
+                    i += 1
+                    processed += 1
+                    if processed > max_events:
+                        raise EventBudgetExceeded(
+                            events_executed=processed, sim_time_reached=when, budget=max_events
+                        )
+                self._pool = None
+        finally:
+            self._pool = None
+            self.events_processed += processed
+
+
+ENGINES = (EventEngine, OracleBatchedEngine)
 
 #: Small time pools force duplicate timestamps in nearly every example.
 TIMES = st.sampled_from([0.0, 1.0, 1.0, 2.0, 2.5, 2.5, 3.0])
@@ -39,14 +90,15 @@ relaxed = settings(
 )
 
 
-def execute_plan(plan, vectorized):
-    """Run ``plan`` on a fresh engine; return (labels-in-order, engine).
+def execute_plan(plan, engine_cls, max_events=DEFAULT_MAX_EVENTS):
+    """Run ``plan`` on a fresh engine; return (labels-in-order, engine, abort).
 
     Labels record both execution order and the virtual time each
     callback observed, so a reordering *or* a clock glitch fails the
-    comparison.
+    comparison.  ``abort`` is ``(events_executed, sim_time_reached)``
+    of an :class:`EventBudgetExceeded`, or ``None``.
     """
-    engine = EventEngine(vectorized=vectorized)
+    engine = engine_cls()
     order = []
     counter = [0]
 
@@ -65,30 +117,46 @@ def execute_plan(plan, vectorized):
 
     for when, children in plan:
         engine.schedule(when, spawn(children))
-    engine.run()
-    return order, engine
+    try:
+        engine.run(max_events)
+    except EventBudgetExceeded as exc:
+        return order, engine, (exc.events_executed, exc.sim_time_reached)
+    return order, engine, None
 
 
 class TestBatchedOrderMatchesScalar:
     @given(plan=PLANS)
     @relaxed
     def test_same_total_order_as_heapq_reference(self, plan):
-        """The core contract: batched == scalar on every schedule,
-        including events scheduled from inside a batch dispatch."""
-        scalar_order, scalar_engine = execute_plan(plan, vectorized=False)
-        batched_order, batched_engine = execute_plan(plan, vectorized=True)
-        assert batched_order == scalar_order
-        assert batched_engine.events_processed == scalar_engine.events_processed
-        assert batched_engine.now == scalar_engine.now
+        """The core contract: heap loop == batched oracle on every
+        schedule, including events scheduled at the current timestamp."""
+        order, engine, _ = execute_plan(plan, EventEngine)
+        oracle_order, oracle, _ = execute_plan(plan, OracleBatchedEngine)
+        assert order == oracle_order
+        assert engine.events_processed == oracle.events_processed
+        assert engine.now == oracle.now
+
+    @given(plan=PLANS, cut=st.integers(min_value=0, max_value=40))
+    @relaxed
+    def test_budget_abort_at_the_same_event(self, plan, cut):
+        """An event budget stops both drains at the same event: same
+        callbacks run, same count, same clock in the exception."""
+        total = execute_plan(plan, EventEngine)[1].events_processed
+        cap = min(cut, total)
+        order, engine, abort = execute_plan(plan, EventEngine, cap)
+        oracle_order, oracle, oracle_abort = execute_plan(plan, OracleBatchedEngine, cap)
+        assert (order, abort) == (oracle_order, oracle_abort)
+        assert engine.events_processed == oracle.events_processed
+        assert (abort is None) == (cap == total)
 
     @given(
         times=st.lists(TIMES, min_size=2, max_size=12),
     )
     @relaxed
     def test_duplicate_timestamps_run_in_scheduling_order(self, times):
-        """Ties are broken by scheduling sequence alone, in both modes."""
-        for vectorized in (False, True):
-            engine = EventEngine(vectorized=vectorized)
+        """Ties are broken by scheduling sequence alone."""
+        for engine_cls in ENGINES:
+            engine = engine_cls()
             order = []
             for label, when in enumerate(times):
                 engine.schedule(when, lambda label=label: order.append(label))
@@ -96,25 +164,23 @@ class TestBatchedOrderMatchesScalar:
             expected = [label for _, label in sorted(
                 (when, label) for label, when in enumerate(times)
             )]
-            assert order == expected, f"vectorized={vectorized}"
+            assert order == expected, engine_cls.__name__
 
     @given(plan=PLANS)
     @relaxed
     def test_virtual_time_is_monotonic(self, plan):
-        for vectorized in (False, True):
-            order, _ = execute_plan(plan, vectorized)
-            observed = [now for _, now in order]
-            assert observed == sorted(observed), f"vectorized={vectorized}"
+        order, _, _ = execute_plan(plan, EventEngine)
+        observed = [now for _, now in order]
+        assert observed == sorted(observed)
 
 
 class TestInBatchScheduling:
-    """Regression tests for the stale-local hazard: an event scheduled
-    at the live batch's own timestamp must run in the *same* drain
-    (the dispatch loop re-reads the pool length; a cached bound would
-    strand it until a later — or never — sweep)."""
+    """An event scheduled at the current timestamp from inside a
+    callback runs in the same drain, after everything already queued at
+    that time and before any later time."""
 
     def test_same_timestamp_event_from_callback_runs_in_same_run(self):
-        engine = EventEngine(vectorized=True)
+        engine = EventEngine()
         order = []
 
         def parent():
@@ -128,8 +194,8 @@ class TestInBatchScheduling:
 
     def test_chained_same_timestamp_events_all_run(self):
         """A chain of N same-timestamp events scheduled link-by-link
-        from inside the batch is fully drained in one run."""
-        engine = EventEngine(vectorized=True)
+        from inside the drain is fully drained in one run."""
+        engine = EventEngine()
         order = []
 
         def link(n):
@@ -146,7 +212,7 @@ class TestInBatchScheduling:
     def test_in_batch_event_keeps_position_relative_to_later_times(self):
         """A same-timestamp child runs before any later-time event that
         was already in the heap."""
-        engine = EventEngine(vectorized=True)
+        engine = EventEngine()
         order = []
         engine.schedule(2.0, lambda: order.append("later"))
 
@@ -159,11 +225,11 @@ class TestInBatchScheduling:
         assert order == ["parent", "child", "later"]
 
     def test_events_processed_counts_in_batch_events(self):
-        """events_processed is exact in both modes for the same plan."""
+        """events_processed is exact, and equal to the oracle's."""
         plan = [(0.0, [(0.0, [0.0, 0.5]), (1.0, [])]), (0.0, []), (1.0, [(0.0, [])])]
-        _, scalar = execute_plan(plan, vectorized=False)
-        _, batched = execute_plan(plan, vectorized=True)
-        assert batched.events_processed == scalar.events_processed == 8
+        _, engine, _ = execute_plan(plan, EventEngine)
+        _, oracle, _ = execute_plan(plan, OracleBatchedEngine)
+        assert engine.events_processed == oracle.events_processed == 8
 
 
 #: A train: ``gaps`` spaces its chained entries (strictly increasing
@@ -171,7 +237,7 @@ class TestInBatchScheduling:
 #: non-negative value, so it may tie or precede chained entries) or
 #: ``None`` for a train without one.  Children are what the first
 #: entry starts when it fires: each a plain event or (flag set) a
-#: two-entry train; offset ``0.0`` lands on the live batch.
+#: two-entry train; offset ``0.0`` lands on the current timestamp.
 GAPS = st.lists(st.sampled_from([0.25, 0.5, 1.0]), max_size=3)
 TAILS = st.one_of(st.none(), st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]))
 TRAIN_CHILDREN = st.lists(st.tuples(OFFSETS, st.booleans()), max_size=3)
@@ -180,7 +246,7 @@ TRAINS = st.lists(
 )
 
 
-def execute_trains(plan, vectorized, lazy):
+def execute_trains(plan, engine_cls, lazy):
     """Run a train plan; return [(label, now)] in dispatch order.
 
     Eager mode schedules every entry of a train with :meth:`schedule`
@@ -189,7 +255,7 @@ def execute_trains(plan, vectorized, lazy):
     entry push its successor when it fires — the packet model's
     contract.
     """
-    engine = EventEngine(vectorized=vectorized)
+    engine = engine_cls()
     order = []
 
     def start_train(label, when, gaps, tail, children):
@@ -239,46 +305,28 @@ def execute_trains(plan, vectorized, lazy):
 
 class TestReservedPushOrder:
     """``reserve`` + lazy ``push`` dispatches exactly like scheduling
-    every entry up front, in both drains."""
+    every entry up front, on the heap loop and on the batched oracle."""
 
     @given(plan=TRAINS)
     @relaxed
     def test_lazy_push_matches_up_front_schedule(self, plan):
-        reference, ref_engine = execute_trains(plan, vectorized=False, lazy=False)
-        for vectorized in (False, True):
+        reference, ref_engine = execute_trains(plan, OracleBatchedEngine, lazy=False)
+        for engine_cls in ENGINES:
             for lazy in (False, True):
-                order, engine = execute_trains(plan, vectorized, lazy)
-                assert order == reference, f"vectorized={vectorized} lazy={lazy}"
+                order, engine = execute_trains(plan, engine_cls, lazy)
+                assert order == reference, f"{engine_cls.__name__} lazy={lazy}"
                 assert engine.events_processed == ref_engine.events_processed
                 assert engine.now == ref_engine.now
 
-    def test_push_at_live_batch_time_joins_the_pool(self):
-        """At ``when == now`` inside a batch, push appends to the pool
-        (no heap entry) and the entry runs in the same sweep."""
-        engine = EventEngine(vectorized=True)
-        order = []
-
-        def parent():
-            order.append("parent")
-            depth = len(engine._queue)
-            engine.push(engine.now, engine.reserve(1), lambda: order.append("pushed"))
-            assert len(engine._queue) == depth
-            engine.schedule(engine.now, lambda: order.append("scheduled"))
-
-        engine.schedule(1.0, parent)
-        engine.schedule(2.0, lambda: order.append("later"))
-        engine.run()
-        assert order == ["parent", "pushed", "scheduled", "later"]
-
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_push_before_now_raises(self, vectorized):
-        engine = EventEngine(vectorized=vectorized)
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_push_before_now_raises(self, oracle):
+        engine = ENGINES[oracle]()
         engine.schedule(1.0, lambda: engine.push(0.5, engine.reserve(1), lambda: None))
         with pytest.raises(ValueError, match="before current time"):
             engine.run()
 
     def test_reserve_hands_out_the_next_schedule_numbers(self):
-        engine = EventEngine(vectorized=False)
+        engine = EventEngine()
         engine.schedule(1.0, lambda: None)
         base = engine.reserve(3)
         engine.schedule(1.0, lambda: None)

@@ -24,7 +24,7 @@ def _flow_model(nranks=8):
     # the scalar-side flow list (`_flows`); the vectorized path keeps
     # its own flow state and is held equivalent by
     # tests/test_vectorized_equivalence.py.
-    return FlowModel(fabric, EventEngine(vectorized=False)), fabric
+    return FlowModel(fabric, EventEngine(), vectorized=False), fabric
 
 
 class TestWaterfillProperties:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.machines import CIELITO, EDISON
 from repro.mfact import ConfigGrid, ReplayDeadlockError, model_trace
+from repro.mfact.classify import AppClass
 from repro.mfact.logical_clock import LogicalClockReplay
 from repro.mfact.whatif import DesignPoint, DesignSpaceResult
 from repro.sensitivity import (
@@ -150,6 +151,7 @@ class TestToleranceAnalytics:
         assert len(blob["lat_curve"]) == len(report.lat_curve)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestDegenerateTraces:
     def test_pure_compute_unbounded_tolerance(self):
         ranks = [[make_compute(0.5)], [make_compute(0.3)]]
@@ -167,6 +169,14 @@ class TestDegenerateTraces:
         report = analyze_trace(trace, CIELITO)
         assert math.isinf(report.lat_tolerance)
         assert all(math.isfinite(v) for v in report.features().values())
+
+    def test_zero_time_trace_is_computation_bound(self):
+        """A zero baseline has no relative increase: sensitivities are
+        0.0, not NaN, and the class follows from that."""
+        report = model_trace(TraceSet("empty", "X", [[], []]), CIELITO)
+        assert report.baseline_total_time == 0.0
+        assert report.classification is AppClass.COMPUTATION_BOUND
+        assert not report.communication_sensitive
 
     # Satellite: no division by zero or NaN ever reaches the design
     # matrix, for any zero-communication trace shape.
