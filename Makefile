@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check lint lint-changed lint-baseline test chaos chaos-serve \
-        obs-check bench bench-lint bench-sim bench-sensitivity studybench-smoke \
+        obs-check bench bench-lint bench-sensitivity studybench-smoke \
         clean-cache
 
 check: lint test
@@ -58,14 +58,6 @@ bench:
 # against a throwaway cache and record BENCH_7.json.
 bench-lint:
 	$(PYTHON) -m repro.analysis.bench
-
-# Simulation perf trajectory: replay the fixed seeded bench corpus
-# through every engine scalar vs vectorized, record BENCH_8.json, and
-# fail if the vectorized path regresses >10% behind scalar anywhere.
-# Both paths share one event drain; they differ in flow state and op
-# streams (compiled streams over a shared per-trace prep).
-bench-sim:
-	$(PYTHON) -m repro.bench --out BENCH_8.json --check
 
 # Zero-replay analytics trajectory: price a 100-point network grid per
 # trace off the recorded dependency graph vs per-point replays, record

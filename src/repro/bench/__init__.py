@@ -1,22 +1,14 @@
 """Benchmark harnesses tracking the repo's performance trajectory.
 
 Each PR that claims a performance win checks in a ``BENCH_<pr>.json``
-artifact produced by one of these harnesses, so the trajectory is a
-series of committed, schema-stable measurements rather than numbers in
-commit messages.  ``repro.analysis.bench`` (PR 7) covers the lint
-tooling; :mod:`repro.bench.sim` (PR 8) covers the simulation engines;
-:mod:`repro.bench.sensitivity` (PR 10) covers zero-replay design-grid
-pricing off the recorded dependency graph.
+artifact, so the trajectory is a series of committed, schema-stable
+measurements rather than numbers in commit messages.
+``repro.analysis.bench`` covers the lint tooling;
+:mod:`repro.bench.sensitivity` covers zero-replay design-grid
+pricing off the recorded dependency graph.  End-to-end study timing,
+including the simulation engines, is ``python -m studybench``.
 
-Run the simulation bench with ``make bench-sim`` or::
-
-    python -m repro.bench --out BENCH_8.json --check
-
-and the sensitivity bench with ``make bench-sensitivity`` or::
+Run the sensitivity bench with ``make bench-sensitivity`` or::
 
     python -m repro.bench.sensitivity --out BENCH_10.json --check
 """
-
-from repro.bench.sim import bench_corpus, main, run_bench
-
-__all__ = ["bench_corpus", "main", "run_bench"]

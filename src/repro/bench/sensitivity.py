@@ -16,8 +16,8 @@ bandwidth factors) for each trace of a seeded mini-corpus two ways:
   call.  The timed pass includes the recording replay, so the speedup
   is end-to-end, not marginal.
 
-Both passes are best-of-``repeats`` with GC disabled (same rationale
-as :mod:`repro.bench.sim`: noise only adds time).  Every run doubles
+Both passes are best-of-``repeats`` with GC disabled (noise only
+adds time, so the minimum is the cleanest estimate).  Every run doubles
 as an accuracy check — the analytic totals must agree with the
 replayed totals within the sensitivity package's documented ``1e-6``
 relative band on every point, or the bench raises.

@@ -71,7 +71,6 @@ from repro.core.resilience import (
     step_engines,
 )
 from repro.machines.presets import get_machine
-from repro.sim import modes
 from repro.trace.trace import TraceSet
 from repro.util.budget import Budget
 from repro.util.faults import maybe_inject
@@ -387,7 +386,6 @@ def _measure_built_trace(
             ladder_step=options.get("ladder_step", 0),
             degraded_from=options.get("degraded_from", ""),
             attempt=attempt,
-            sim_vectorized=options.get("sim_vectorized"),
         )
     if cache is not None:
         cache.put(key, record)
@@ -967,7 +965,6 @@ def study_options(
     record_timeout: Optional[float] = None,
     event_budget: Optional[int] = None,
     metrics: bool = False,
-    sim_vectorized: Optional[bool] = None,
 ) -> dict:
     """The picklable options dict shipped to every measurement task.
 
@@ -975,8 +972,7 @@ def study_options(
     :func:`execute_traces` and the :mod:`repro.serve` worker agent, so
     a distributed attempt sees exactly the knobs a local attempt would
     — which is what keeps distributed canonical records byte-identical
-    to serial ones.  ``sim_vectorized`` is resolved here (never re-read
-    from the environment inside a worker).
+    to serial ones.
     """
     return {
         "cache_root": str(cache_root) if cache_root is not None else None,
@@ -986,7 +982,6 @@ def study_options(
         "record_timeout": record_timeout,
         "event_budget": event_budget,
         "metrics": metrics,
-        "sim_vectorized": modes.resolve(sim_vectorized),
     }
 
 
@@ -1059,7 +1054,6 @@ def execute_study(
     retry: Optional[RetryPolicy] = None,
     quarantine_root: Optional[Union[str, Path]] = None,
     collect_metrics: Optional[bool] = None,
-    sim_vectorized: Optional[bool] = None,
 ) -> StudyRun:
     """Measure every :class:`~repro.workloads.suite.TraceSpec` in ``specs``.
 
@@ -1090,14 +1084,9 @@ def execute_study(
     snapshot lands in ``manifest.metrics`` — identical for serial and
     parallel runs on all non-walltime series.
 
-    ``sim_vectorized`` picks the engines' scalar or vectorized paths
-    (``None``: this process's :mod:`repro.sim.modes` default).  The
-    choice is resolved *here* and shipped to workers as an explicit
-    bool, so a pool worker never re-reads the environment; it is not
-    part of the record cache key because canonical records are
-    byte-identical across modes.  Pool workers are long-lived: each one
-    keeps its process (imports, numpy buffers, engine event pools) warm
-    across all the records it measures.
+    Pool workers are long-lived: each one keeps its process (imports,
+    numpy buffers, the flow model's water-fill memo) warm across all the
+    records it measures.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -1112,7 +1101,6 @@ def execute_study(
         record_timeout=record_timeout,
         event_budget=event_budget,
         metrics=collect,
-        sim_vectorized=sim_vectorized,
     )
     manifest = RunManifest(
         seed=seed,
@@ -1160,12 +1148,11 @@ def execute_traces(
     retry: Optional[RetryPolicy] = None,
     quarantine_root: Optional[Union[str, Path]] = None,
     collect_metrics: Optional[bool] = None,
-    sim_vectorized: Optional[bool] = None,
 ) -> StudyRun:
     """Measure already-serialized trace files (``.dmp`` ASCII or ``.bin``).
 
     Same parallelism, caching, isolation, budget/retry/ladder/quarantine,
-    metrics-collection, manifest and ``sim_vectorized`` semantics as
+    metrics-collection and manifest semantics as
     :func:`execute_study`, but the work items are file paths — the CLI
     entry point ``python -m repro.trace.cli measure``.
     """
@@ -1181,7 +1168,6 @@ def execute_traces(
         record_timeout=record_timeout,
         event_budget=event_budget,
         metrics=collect,
-        sim_vectorized=sim_vectorized,
     )
     manifest = RunManifest(
         jobs=jobs,

@@ -29,7 +29,6 @@ from repro.core.difftotal import DIFF_THRESHOLD, diff_total
 from repro.core.resilience import LADDER, band_for_step
 from repro.machines.presets import get_machine
 from repro.sensitivity.analysis import analyze_graph, record_graph
-from repro.sim import modes
 from repro.sim.mpi_replay import ReplayShared, simulate_trace
 from repro.sim.network import UnsupportedTraceError
 from repro.trace.features import extract_features
@@ -130,7 +129,6 @@ def measure_trace(
     ladder_step: int = 0,
     degraded_from: str = "",
     attempt: int = 0,
-    sim_vectorized: Optional[bool] = None,
 ) -> StudyRecord:
     """Run all four tools and feature extraction on one stamped trace.
 
@@ -151,13 +149,10 @@ def measure_trace(
     (:func:`repro.util.faults.maybe_inject`) so fault plans can scope
     faults per attempt.
 
-    ``sim_vectorized`` selects the simulation engines' scalar or
-    vectorized paths (``None``: the :mod:`repro.sim.modes` process
-    default).  Canonical record content is identical either way — the
-    differential equivalence suite enforces it — so the choice never
-    enters the record cache key.  In vectorized mode the collective
-    expansion, fabric and compiled op streams are built once per record
-    and shared across all engines instead of once per engine.
+    When any engine runs, the collective expansion, fabric and compiled
+    op streams are built once per record (one
+    :class:`~repro.sim.mpi_replay.ReplayShared`) and shared by every
+    engine.
     """
     if lint_gate:
         report = lint_trace(trace)
@@ -208,9 +203,8 @@ def measure_trace(
         wall_deadline = time.perf_counter() + budget.wall_seconds
     step = ladder_step
     degraded = degraded_from
-    vectorized = modes.resolve(sim_vectorized)
     active_engines = [m for m in SIM_MODELS if m in engines]
-    shared = ReplayShared(trace, machine) if vectorized and active_engines else None
+    shared = ReplayShared(trace, machine) if active_engines else None
     for model in active_engines:
         remaining = None
         if wall_deadline is not None:
@@ -241,7 +235,6 @@ def measure_trace(
                     wall_seconds=remaining,
                     events=budget.events if budget is not None else None,
                 ),
-                vectorized=vectorized,
                 shared=shared,
             )
             record.sims[model] = ToolRun(
@@ -294,7 +287,6 @@ def run_study(
     record_timeout: Optional[float] = None,
     event_budget: Optional[int] = None,
     retry=None,
-    sim_vectorized: Optional[bool] = None,
 ) -> List[StudyRecord]:
     """Build the corpus and measure every trace with all four tools.
 
@@ -332,7 +324,6 @@ def run_study(
         record_timeout=record_timeout,
         event_budget=event_budget,
         retry=retry,
-        sim_vectorized=sim_vectorized,
     )
     return run.records
 

@@ -10,6 +10,15 @@ layer performs before handing traffic to its congestion model.
 Per-rank communication time (time spent inside MPI calls) is
 accumulated so simulated total *and* communication time can be compared
 with MFACT's counters.
+
+Each replay dispatches ops from compiled per-rank tuple streams
+(:func:`compile_streams`), built once per (trace, machine) by
+:class:`ReplayShared` and shared by every engine of a record, or built
+by the replay itself when it is given none.  While a
+:mod:`repro.obs` registry is collecting, the replay runs the reference
+loop over :class:`~repro.trace.events.Op` objects instead, which times
+every op for the ``repro_dispatch_*`` series; both loops perform the
+same arithmetic, so results do not depend on whether metrics are on.
 """
 
 from __future__ import annotations
@@ -22,7 +31,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, Type
 from repro import obs
 from repro.collectives.algorithms import schedule_collective
 from repro.machines.config import MachineConfig
-from repro.sim import modes
 from repro.sim.engine import DEFAULT_MAX_EVENTS, EventEngine
 from repro.util.budget import Budget
 from repro.sim.flow import FlowModel
@@ -174,12 +182,12 @@ def compile_streams(trace: TraceSet, machine: MachineConfig) -> List[List[Tuple]
 class ReplayShared:
     """Per-(trace, machine) precomputation shared across engines.
 
-    The vectorized measurement path builds one of these per record and
-    hands it to every :class:`SimReplay`: collective expansion, the
-    fabric (topology + routing, read-only during replay) and the
-    compiled op streams are all identical across the packet, flow and
-    packet-flow replays of one trace, so the scalar path's
-    once-per-engine cost collapses to once per record.
+    :func:`~repro.core.pipeline.measure_trace` builds one of these per
+    record and hands it to every :class:`SimReplay`: collective
+    expansion, the fabric (topology + routing, read-only during replay)
+    and the compiled op streams are all identical across the packet,
+    flow and packet-flow replays of one trace, so they are built once
+    per record instead of once per engine.
     """
 
     __slots__ = ("trace", "machine", "expanded", "fabric", "compiled")
@@ -209,7 +217,6 @@ class SimReplay:
         machine: MachineConfig,
         model: str = "packet-flow",
         fabric: Optional[Fabric] = None,
-        vectorized: Optional[bool] = None,
         shared: Optional[ReplayShared] = None,
         **model_kwargs,
     ):
@@ -220,19 +227,20 @@ class SimReplay:
             raise ValueError(f"unknown model {model!r} (known: {known})") from None
         self.original = trace
         self.machine = machine
-        self.vectorized = modes.resolve(vectorized)
         self.engine = EventEngine()
         if shared is not None and fabric is None:
             fabric = shared.fabric
         self.fabric = fabric if fabric is not None else Fabric(trace, machine)
-        self.model = model_cls(
-            self.fabric, self.engine, vectorized=self.vectorized, **model_kwargs
-        )
+        self.model = model_cls(self.fabric, self.engine, **model_kwargs)
         self.model.check_trace(trace)
         # ``shared`` must have been built from this same (trace, machine)
         # pair; it saves re-expanding and re-compiling per engine.
-        self.trace = shared.expanded if shared is not None else expand_collectives(trace)
-        self._compiled = shared.compiled if shared is not None else None
+        if shared is not None:
+            self.trace = shared.expanded
+            self._compiled = shared.compiled
+        else:
+            self.trace = expand_collectives(trace)
+            self._compiled = compile_streams(self.trace, machine)
         n = trace.nranks
         self.clk = [0.0] * n
         self.comm_time = [0.0] * n
@@ -252,17 +260,13 @@ class SimReplay:
         self._kind_obs: Optional[Dict[OpKind, List[float]]] = (
             {} if obs.enabled() else None
         )
-        # Pick the dispatch once: the compiled-stream fast loop when
-        # shared precomputation is attached and per-op tallies are off,
-        # else the reference loop (the behavioral specification both
-        # must match, enforced by the differential equivalence suite).
+        # Pick the dispatch once: the compiled-stream loop, or the
+        # reference loop when per-op tallies are on (it times each op).
         # The plain function is stored, not a bound method: a bound
         # method on the instance is a reference cycle that would leave
         # every finished replay to the cyclic GC.
         self._advance_impl = (
-            SimReplay._advance_fast
-            if self._compiled is not None and self._kind_obs is None
-            else SimReplay._advance_ref
+            SimReplay._advance_fast if self._kind_obs is None else SimReplay._advance_ref
         )
 
     def _tally_op(self, kind: OpKind, t0: float) -> None:
@@ -282,7 +286,7 @@ class SimReplay:
         return chan
 
     def _deliver(self, src: int, dst: int, tag: int, when: float) -> None:
-        # Hot path shared by both engine modes: the channel lookup is
+        # Hot path shared by both dispatch loops: the channel lookup is
         # inlined (no _channel call) and the ``max`` builtins are spelled
         # as branches — ``clk[dst] if clk[dst] >= when else when`` picks
         # the same value ``max`` would, and the waited-time clamp skips
@@ -443,7 +447,11 @@ class SimReplay:
         self._done[rank] = True
 
     def _advance_ref(self, rank: int) -> None:
-        """Reference dispatch loop over :class:`Op` objects."""
+        """Reference dispatch loop over :class:`Op` objects.
+
+        Runs while metrics are collecting: it tallies each op's count
+        and wall time per :class:`OpKind` for ``repro_dispatch_*``.
+        """
         ops = self.trace.ranks[rank]
         n_ops = len(ops)
         o = self._overhead
@@ -601,18 +609,13 @@ def simulate_trace(
     machine: MachineConfig,
     model: str = "packet-flow",
     budget: Optional[Budget] = None,
-    vectorized: Optional[bool] = None,
     shared: Optional[ReplayShared] = None,
     **model_kwargs,
 ) -> SimResult:
     """Convenience wrapper: simulate ``trace`` on ``machine`` with ``model``.
 
     ``budget`` (wall seconds / event cap) bounds the attempt; see
-    :meth:`SimReplay.run`.  ``vectorized`` picks the scalar or
-    vectorized simulation paths (``None``: process default, see
-    :mod:`repro.sim.modes`); ``shared`` reuses a
-    :class:`ReplayShared` built for this same (trace, machine) pair.
+    :meth:`SimReplay.run`.  ``shared`` reuses a :class:`ReplayShared`
+    built for this same (trace, machine) pair.
     """
-    return SimReplay(
-        trace, machine, model, vectorized=vectorized, shared=shared, **model_kwargs
-    ).run(budget=budget)
+    return SimReplay(trace, machine, model, shared=shared, **model_kwargs).run(budget=budget)

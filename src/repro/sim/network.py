@@ -5,6 +5,10 @@ and defines the :class:`NetworkModel` interface the MPI replay layer
 drives.  Routes are extended with per-node injection and ejection
 resources so endpoint contention (many ranks per node) is visible to
 every model.
+
+The three models differ in granularity, not in implementation: each
+has one production code path, driven by
+:class:`~repro.sim.mpi_replay.SimReplay`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from abc import ABC, abstractmethod
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.machines.config import MachineConfig
-from repro.sim import modes
 from repro.topology.base import Topology
 from repro.topology.mapping import block_mapping, build_topology, random_mapping
 from repro.trace.trace import TraceSet
@@ -108,13 +111,9 @@ class NetworkModel(ABC):
     #: Human-readable model name ("packet", "flow", "packet-flow").
     name: str = "abstract"
 
-    def __init__(self, fabric: Fabric, engine, vectorized: Optional[bool] = None):
+    def __init__(self, fabric: Fabric, engine):
         self.fabric = fabric
         self.engine = engine
-        #: Scalar or vectorized model state, for the models that keep
-        #: both (flow, packet-flow); ``None`` is the process default
-        #: (see :mod:`repro.sim.modes`).  The packet model has one path.
-        self.vectorized = modes.resolve(vectorized)
         self.messages_sent = 0
         self.bytes_sent = 0
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.sim.network import Fabric, NetworkModel, UnsupportedTraceError
 from repro.trace.trace import TraceSet
@@ -70,9 +70,8 @@ class PacketModel(NetworkModel):
 
     name = "packet"
 
-    def __init__(self, fabric: Fabric, engine, packet_size: int = DEFAULT_PACKET_SIZE,
-                 vectorized: Optional[bool] = None):
-        super().__init__(fabric, engine, vectorized)
+    def __init__(self, fabric: Fabric, engine, packet_size: int = DEFAULT_PACKET_SIZE):
+        super().__init__(fabric, engine)
         if packet_size < 1:
             raise ValueError(f"packet_size must be >= 1 byte, got {packet_size}")
         self.packet_size = int(packet_size)

@@ -6,8 +6,9 @@ workload — are pinned down to the SHA-256 of their canonical
 :class:`~repro.core.pipeline.StudyRecord` JSON and the trace
 fingerprint of the stamped trace.  Any change to trace synthesis,
 calibration, feature extraction, MFACT, or *any* simulation engine
-(scalar or vectorized — canonical records are byte-identical across
-modes) shows up here as a hash flip.
+(production or the reference engines of ``tests/sim_oracles.py`` —
+canonical records are byte-identical across the two) shows up here as
+a hash flip.
 
 If a hash changes because the model intentionally changed, re-pin it
 in the same commit and say why in the commit message; a flip in an
@@ -23,6 +24,10 @@ import pytest
 from repro.core.pipeline import measure_trace
 from repro.util.fingerprint import trace_fingerprint
 from repro.workloads.suite import build_trace, mini_corpus_specs
+from tests.sim_oracles import reference_engines
+
+#: Production replays must take the compiled dispatch.
+pytestmark = pytest.mark.usefixtures("metrics_off")
 
 #: spec index -> (trace fingerprint, canonical-record sha256).
 #: Record digests re-pinned in PR 10: records gained the three
@@ -66,12 +71,15 @@ def test_golden_trace_and_record_fingerprints(index):
 
 @pytest.mark.parametrize("index", sorted(GOLDEN))
 def test_golden_records_identical_in_both_sim_modes(index):
-    """The pinned hash is mode-independent: scalar and vectorized
-    measurement of a golden trace produce the same canonical bytes."""
+    """The pinned hash holds on both sides of the oracle suite: the
+    reference engines and the production engines measure a golden trace
+    to the same canonical bytes."""
     spec = mini_corpus_specs()[index]
     trace = build_trace(spec)
-    for mode in (False, True):
-        record = measure_trace(trace, spec_index=spec.index, sim_vectorized=mode)
+    with reference_engines():
+        oracle = measure_trace(trace, spec_index=spec.index)
+    production = measure_trace(trace, spec_index=spec.index)
+    for side, record in (("reference engines", oracle), ("production", production)):
         assert record_digest(record) == GOLDEN[index][1], (
-            f"{spec.name}: sim_vectorized={mode} diverged from the golden hash"
+            f"{spec.name}: {side} diverged from the golden hash"
         )

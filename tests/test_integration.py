@@ -54,6 +54,13 @@ class TestPipeline:
         assert comm_max > ep
 
     def test_mfact_fastest_tool(self, mini_study):
+        """MFACT is the cheapest tool on all but at most one record.
+
+        This check times the reference engines: ``mini_study`` runs the
+        oracle flow and packet-flow models and the reference dispatch
+        loop (``tests/sim_oracles.py``).  On the production engines
+        packet-flow beats MFACT on several of these small traces; the
+        numbers are in EXPERIMENTS.md's Table II section."""
         wins = sum(
             1 for r in mini_study
             if r.mfact.walltime <= min(s.walltime for s in r.sims.values() if s.completed)

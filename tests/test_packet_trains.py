@@ -5,7 +5,7 @@ in flight (a train that pushes each packet's successor when it fires).
 The oracle below is the model it replaced: every packet of a message
 scheduled up front as its own closure.  Both must pop the same
 (time, sequence) order, so every :class:`SimResult` field and every
-budget abort must agree bit for bit, under both replay paths.  The
+budget abort must agree bit for bit, under both dispatch loops.  The
 five ``cold-corpus`` traces are also pinned to the values every engine
 gave before the engine lost its batched drain and full packets were
 walked inline.
@@ -16,6 +16,7 @@ from unittest.mock import patch
 
 import pytest
 
+from repro import obs
 from repro.machines import CIELITO
 from repro.machines.presets import get_machine
 from repro.sim import EventEngine, Fabric, PacketModel, SimReplay
@@ -30,13 +31,16 @@ from repro.workloads.suite import build_trace, mini_corpus_specs
 from studybench.workloads import PACKET_APPS, corpus_subset
 
 
+#: Production replays must take the compiled dispatch.
+pytestmark = pytest.mark.usefixtures("metrics_off")
+
 class OraclePacketModel(NetworkModel):
     """Reference packet model: one closure and one heap entry per packet."""
 
     name = "packet"
 
-    def __init__(self, fabric, engine, packet_size=DEFAULT_PACKET_SIZE, vectorized=None):
-        super().__init__(fabric, engine, vectorized)
+    def __init__(self, fabric, engine, packet_size=DEFAULT_PACKET_SIZE):
+        super().__init__(fabric, engine)
         self.packet_size = packet_size
         self.free = [0.0] * fabric.nresources
         machine = fabric.machine
@@ -92,18 +96,18 @@ class OraclePacketModel(NetworkModel):
             self.engine.schedule(done, lambda: deliver(done))
 
 
-def outcome(model_cls, trace, machine, vectorized, budget=None, engine="packet"):
+def outcome(model_cls, trace, machine, compiled, budget=None, engine="packet"):
     """Every SimResult field (floats as hex) or the budget abort's fields.
 
-    ``vectorized`` replays through the measurement path: compiled op
+    ``compiled`` replays through the measurement path: compiled op
     streams over a :class:`ReplayShared`, as ``measure_trace`` runs it.
+    Otherwise the replay runs with metrics on, which selects the
+    reference dispatch loop over ``Op`` objects.
     """
-    shared = ReplayShared(trace, machine) if vectorized else None
-    with patch.dict(MODEL_CLASSES, {"packet": model_cls}):
+    shared = ReplayShared(trace, machine) if compiled else None
+    with patch.dict(MODEL_CLASSES, {"packet": model_cls}), obs.collect_task(not compiled):
         try:
-            res = simulate_trace(
-                trace, machine, engine, vectorized=vectorized, budget=budget, shared=shared
-            )
+            res = simulate_trace(trace, machine, engine, budget=budget, shared=shared)
         except UnsupportedTraceError:
             return ("unsupported",)
         except EventBudgetExceeded as exc:
@@ -124,11 +128,11 @@ def traces():
     return {spec.name: build_trace(spec) for spec in MINI + SUBSET}
 
 
-#: The two replay paths: the reference op loop and the measurement
-#: path.  The ``batched`` id dates from when the measurement path also
-#: drained events in same-timestamp batches; it is kept so test ids stay
-#: stable across that change.
-DRAINS = pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "batched"])
+#: The two dispatch loops: ``scalar`` is the reference op loop (metrics
+#: on), ``batched`` the compiled streams of the measurement path.  The
+#: ids date from when the measurement path also drained events in
+#: same-timestamp batches; they are kept so test ids stay stable.
+DRAINS = pytest.mark.parametrize("compiled", [False, True], ids=["scalar", "batched"])
 
 #: ``SimResult`` (total_time, comm_time, events, messages, bytes_sent)
 #: of the five ``cold-corpus`` traces on every engine, recorded before
@@ -162,14 +166,14 @@ PINNED = {
 class TestTrainsMatchOracle:
     @DRAINS
     @pytest.mark.parametrize("spec", MINI + SUBSET, ids=lambda s: s.name)
-    def test_sim_result_bitwise(self, traces, spec, vectorized):
+    def test_sim_result_bitwise(self, traces, spec, compiled):
         trace = traces[spec.name]
         machine = get_machine(trace.machine)
-        expected = outcome(OraclePacketModel, trace, machine, vectorized)
-        assert outcome(PacketModel, trace, machine, vectorized) == expected
+        expected = outcome(OraclePacketModel, trace, machine, compiled)
+        assert outcome(PacketModel, trace, machine, compiled) == expected
 
     @DRAINS
-    def test_event_budget_abort_mid_message(self, vectorized):
+    def test_event_budget_abort_mid_message(self, compiled):
         """A 64 KiB message is 64 packet events; stop after 30 of them."""
         nbytes = 64 * 1024
         ranks = [
@@ -178,29 +182,29 @@ class TestTrainsMatchOracle:
         ]
         trace = TraceSet("t", "T", ranks, machine="cielito", ranks_per_node=1)
         budget = Budget(events=30)
-        expected = outcome(OraclePacketModel, trace, CIELITO, vectorized, budget)
+        expected = outcome(OraclePacketModel, trace, CIELITO, compiled, budget)
         assert expected[:2] == ("aborted", 31)
-        assert outcome(PacketModel, trace, CIELITO, vectorized, budget) == expected
+        assert outcome(PacketModel, trace, CIELITO, compiled, budget) == expected
 
     @DRAINS
-    def test_event_budget_abort_on_corpus_trace(self, traces, vectorized):
+    def test_event_budget_abort_on_corpus_trace(self, traces, compiled):
         trace = traces[SUBSET[0].name]
         machine = get_machine(trace.machine)
-        events = outcome(PacketModel, trace, machine, vectorized)[3]
+        events = outcome(PacketModel, trace, machine, compiled)[3]
         for cap in (events // 3, events // 2 + 7):
             budget = Budget(events=cap)
-            expected = outcome(OraclePacketModel, trace, machine, vectorized, budget)
+            expected = outcome(OraclePacketModel, trace, machine, compiled, budget)
             assert expected[:2] == ("aborted", cap + 1)
-            assert outcome(PacketModel, trace, machine, vectorized, budget) == expected
+            assert outcome(PacketModel, trace, machine, compiled, budget) == expected
 
 
 class TestPinnedCorpusResults:
     @DRAINS
     @pytest.mark.parametrize("engine", sorted(PINNED))
     @pytest.mark.parametrize("spec", corpus_subset(DEFAULT_SEED, PACKET_APPS), ids=lambda s: s.name)
-    def test_sim_result_equals_pinned(self, traces, spec, engine, vectorized):
+    def test_sim_result_equals_pinned(self, traces, spec, engine, compiled):
         trace = traces[spec.name]
-        got = outcome(PacketModel, trace, get_machine(trace.machine), vectorized, engine=engine)
+        got = outcome(PacketModel, trace, get_machine(trace.machine), compiled, engine=engine)
         pinned = PINNED[engine][spec.name]
         if pinned is None:
             assert got == ("unsupported",)

@@ -7,31 +7,39 @@ from hypothesis import strategies as st
 
 from repro.machines import CIELITO
 from repro.sim.engine import EventEngine
-from repro.sim.flow import FlowModel, _Flow
+from repro.sim.flow import FlowModel
 from repro.sim.network import Fabric
 from repro.trace.compress import compress_trace, decompress_trace
 from repro.trace.events import Op, OpKind, make_compute
 from repro.trace.trace import TraceSet
+from tests.sim_oracles import load_flows
 
 slow = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
-def _flow_model(nranks=8):
+def _fabric(nranks=8):
     trace = TraceSet("t", "T", [[] for _ in range(nranks)], machine="cielito",
                      ranks_per_node=1)
-    fabric = Fabric(trace, CIELITO)
-    # Scalar engine: these tests drive the reference water-fill through
-    # the scalar-side flow list (`_flows`); the vectorized path keeps
-    # its own flow state and is held equivalent by
-    # tests/test_vectorized_equivalence.py.
-    return FlowModel(fabric, EventEngine(), vectorized=False), fabric
+    return Fabric(trace, CIELITO)
+
+
+def _filled(fabric, routes):
+    """Rates from each production fill over the same flows: the ripple
+    (which picks the small or the numpy fill by flow count), then each
+    fill forced."""
+    out = []
+    for fill in ("_recompute_event", "_waterfill_small", "_waterfill_vector"):
+        model = load_flows(FlowModel(fabric, EventEngine()), routes)
+        getattr(model, fill)()
+        out.append((model, list(model._rates)))
+    return out
 
 
 class TestWaterfillProperties:
     @given(data=st.data())
     @slow
     def test_capacity_never_exceeded(self, data):
-        model, fabric = _flow_model()
+        fabric = _fabric()
         nflows = data.draw(st.integers(min_value=1, max_value=60))
         pairs = data.draw(
             st.lists(
@@ -39,59 +47,70 @@ class TestWaterfillProperties:
                 min_size=nflows, max_size=nflows,
             )
         )
-        flows = []
-        for src, dst in pairs:
-            if src == dst:
-                continue
-            route = fabric.route(src, dst)
-            flows.append(_Flow(route, 1 << 20, lambda t: None, 1e-6))
-        if not flows:
+        routes = [fabric.route(src, dst) for src, dst in pairs if src != dst]
+        if not routes:
             return
-        model._flows = flows
-        model._recompute_rates()
-        # Per-link capacity constraint.
-        load = {}
-        for flow in flows:
-            for link in flow.route:
-                load[link] = load.get(link, 0.0) + flow.rate
-        for link, total in load.items():
-            assert total <= model._caps[link] * (1 + 1e-6)
+        for model, rates in _filled(fabric, routes):
+            # Per-link capacity constraint.
+            load = {}
+            for route, rate in zip(routes, rates):
+                for link in route:
+                    load[link] = load.get(link, 0.0) + rate
+            for link, total in load.items():
+                assert total <= model._caps[link] * (1 + 1e-6)
 
     @given(data=st.data())
     @slow
     def test_every_flow_gets_positive_rate(self, data):
-        model, fabric = _flow_model()
-        nflows = data.draw(st.integers(min_value=1, max_value=40))
-        flows = []
+        fabric = _fabric()
+        nflows = data.draw(st.integers(min_value=1, max_value=60))
+        routes = []
         for i in range(nflows):
             src, dst = i % 8, (i + 1 + i % 7) % 8
             if src == dst:
                 continue
-            flows.append(_Flow(fabric.route(src, dst), 1024, lambda t: None, 1e-6))
-        if not flows:
+            routes.append(fabric.route(src, dst))
+        if not routes:
             return
-        model._flows = flows
-        model._recompute_rates()
-        for flow in flows:
-            assert flow.rate > 0
+        for _, rates in _filled(fabric, routes):
+            assert all(rate > 0 for rate in rates)
+
+    @given(data=st.data())
+    @slow
+    def test_small_fill_is_max_min_fair(self, data):
+        """Every flow crosses a saturated link on which no flow gets a
+        higher rate: the defining property of a max-min allocation."""
+        fabric = _fabric()
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=60)
+        )
+        routes = [fabric.route(src, dst) for src, dst in pairs if src != dst]
+        if not routes:
+            return
+        model, rates = _filled(fabric, routes)[1]
+        load, top = {}, {}
+        for route, rate in zip(routes, rates):
+            for link in route:
+                load[link] = load.get(link, 0.0) + rate
+                top[link] = max(top.get(link, 0.0), rate)
+        for route, rate in zip(routes, rates):
+            assert any(
+                load[link] >= model._caps[link] * (1 - 1e-9) and rate >= top[link] * (1 - 1e-9)
+                for link in route
+            )
 
     def test_single_flow_gets_bottleneck_capacity(self):
-        model, fabric = _flow_model()
+        fabric = _fabric()
         route = fabric.route(0, 5)
-        flow = _Flow(route, 1 << 20, lambda t: None, 1e-6)
-        model._flows = [flow]
-        model._recompute_rates()
-        assert flow.rate == pytest.approx(float(model._caps[list(route)].min()))
+        for model, rates in _filled(fabric, [route]):
+            assert rates == [pytest.approx(float(model._caps[list(route)].min()))]
 
     def test_two_identical_flows_split_evenly(self):
-        model, fabric = _flow_model()
+        fabric = _fabric()
         route = fabric.route(0, 5)
-        flows = [_Flow(route, 1 << 20, lambda t: None, 1e-6) for _ in range(2)]
-        model._flows = flows
-        model._recompute_rates()
-        cap = float(model._caps[list(route)].min())
-        for flow in flows:
-            assert flow.rate == pytest.approx(cap / 2, rel=1e-6)
+        for model, rates in _filled(fabric, [route, route]):
+            cap = float(model._caps[list(route)].min())
+            assert rates == [pytest.approx(cap / 2, rel=1e-6)] * 2
 
 
 def _op_block(rng, tag):

@@ -19,6 +19,7 @@ from repro.mfact.whatif import explore_design_space
 from repro.sensitivity import bandwidth_curve, latency_curve, record_graph
 from repro.trace.features import SENSITIVITY_FEATURE_NAMES
 from repro.workloads.suite import build_trace, mini_corpus_specs
+from tests.sim_oracles import reference_engines
 
 REL_BAND = 1e-9
 
@@ -109,14 +110,17 @@ class TestCurveFidelity:
 class TestFeatureStability:
     def test_features_identical_across_engines_and_sim_modes(self, corpus):
         """The sensitivity features come from MFACT's modeling replay
-        alone, so engine choice and scalar/vectorized sim mode must not
-        move them by a single bit."""
+        alone, so neither the engine choice nor running the reference
+        engines (``tests/sim_oracles.py``) may move them by a single bit."""
         trace, _ = corpus[0]
+        with reference_engines():
+            oracle_all = measure_trace(trace, engines=SIM_MODELS)
+            oracle_flow = measure_trace(trace, engines=["flow"])
         variants = [
-            measure_trace(trace, engines=SIM_MODELS, sim_vectorized=True),
-            measure_trace(trace, engines=SIM_MODELS, sim_vectorized=False),
-            measure_trace(trace, engines=["packet-flow"], sim_vectorized=True),
-            measure_trace(trace, engines=["flow"], sim_vectorized=False),
+            measure_trace(trace, engines=SIM_MODELS),
+            oracle_all,
+            measure_trace(trace, engines=["packet-flow"]),
+            oracle_flow,
         ]
         reference = {
             name: variants[0].features[name] for name in SENSITIVITY_FEATURE_NAMES

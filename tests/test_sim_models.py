@@ -6,7 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.machines import CIELITO, EDISON, HOPPER
+from repro.machines.presets import get_machine
 from repro.sim.mpi_replay import ReplayShared
 from repro.sim import (
     EventEngine,
@@ -21,6 +23,7 @@ from repro.sim import (
 )
 from repro.trace.events import Op, OpKind, make_compute
 from repro.trace.trace import TraceSet
+from repro.workloads.suite import build_trace, mini_corpus_specs
 
 
 class TestEventEngine:
@@ -347,3 +350,47 @@ class TestReplayLifetime:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestOneDispatch:
+    """A replay without shared precomputation compiles its own op streams
+    and runs the same dispatch ``measure_trace`` does; only collecting
+    metrics selects the reference loop."""
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        return [build_trace(spec) for spec in mini_corpus_specs()[:4]]
+
+    @staticmethod
+    def outcome(replay):
+        try:
+            res = replay.run()
+        except UnsupportedTraceError:
+            return ("unsupported",)
+        return (
+            float(res.total_time).hex(), float(res.comm_time).hex(),
+            float(res.compute_time).hex(), res.events, res.messages, res.bytes_sent,
+        )
+
+    @staticmethod
+    def replay(trace, model, shared=None):
+        try:
+            return SimReplay(trace, get_machine(trace.machine), model, shared=shared)
+        except UnsupportedTraceError:
+            return None
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_own_prep_runs_compiled_dispatch_bitwise(self, traces, model, metrics_off):
+        for trace in traces:
+            own = self.replay(trace, model)
+            shared = self.replay(trace, model, ReplayShared(trace, get_machine(trace.machine)))
+            if own is None or shared is None:
+                assert own is shared is None
+                continue
+            assert own._advance_impl is SimReplay._advance_fast
+            assert shared._advance_impl is SimReplay._advance_fast
+            assert self.outcome(own) == self.outcome(shared)
+
+    def test_metrics_select_the_reference_loop(self, traces):
+        with obs.collect_task():
+            assert self.replay(traces[0], "packet")._advance_impl is SimReplay._advance_ref

@@ -302,11 +302,16 @@ class TestLintIsCheap:
     def test_64_rank_lint_beats_flow_replay(self):
         trace = generate_npb("CG", 64, MACHINE, seed=9, compute_per_iter=1e-4)
         synthesize_ground_truth(trace, MACHINE, seed=9)
-        t0 = time.perf_counter()
-        report = lint_trace(trace)
-        lint_time = time.perf_counter() - t0
-        assert report.diagnostics == []
-        result = simulate_trace(trace, MACHINE, "flow")
+        assert lint_trace(trace).diagnostics == []
+        # Best of three on both sides: a GC pause or a busy neighbour
+        # only adds time, and one such pause can exceed the margin.
+        lint_times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            lint_trace(trace)
+            lint_times.append(time.perf_counter() - t0)
+        flow_time = min(simulate_trace(trace, MACHINE, "flow").walltime for _ in range(3))
         # The acceptance bar is "well under" a flow replay; the margin is
-        # usually >10x, asserted loosely to stay robust on slow CI.
-        assert lint_time < result.walltime, (lint_time, result.walltime)
+        # about 2x on a quiet host, asserted loosely to stay robust on
+        # slow CI.
+        assert min(lint_times) < flow_time, (lint_times, flow_time)
