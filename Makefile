@@ -5,21 +5,21 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check lint lint-changed lint-baseline test chaos chaos-serve \
-        obs-check bench bench-lint bench-sensitivity studybench-smoke \
+        obs-check bench bench-sensitivity studybench-smoke \
         clean-cache
 
 check: lint test
 
-# Unified source pass: interprocedural summaries driving srclint (AST
-# invariants) + detlint (CFG/dataflow determinism, concurrency and
-# resource rules) under the baseline ratchet in lint-baseline.json.
-# Incremental: warm runs reload unchanged modules from .cache/lint.
-# Zero unbaselined findings required.
+# Unified source pass, one module at a time: srclint (AST invariants)
+# + detlint (CFG/dataflow determinism, concurrency and resource rules,
+# following calls within each module) under the baseline ratchet in
+# lint-baseline.json.  Zero unbaselined findings required.
 lint:
 	$(PYTHON) -m repro.analysis.cli
 
-# Fast local loop: whole program still analyzed (warm cache), but only
-# findings in files changed vs HEAD are reported.
+# Local loop: the whole tree is still linted (so the baseline sees
+# every finding), but only findings in files changed vs HEAD are
+# reported.
 lint-changed:
 	$(PYTHON) -m repro.analysis.cli --changed-only
 
@@ -53,11 +53,6 @@ obs-check:
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q
-
-# Tooling perf trajectory: time a cold vs warm whole-repo lint pass
-# against a throwaway cache and record BENCH_7.json.
-bench-lint:
-	$(PYTHON) -m repro.analysis.bench
 
 # Zero-replay analytics trajectory: price a 100-point network grid per
 # trace off the recorded dependency graph vs per-point replays, record

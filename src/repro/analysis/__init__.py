@@ -14,11 +14,13 @@ Three linting layers share one diagnostic vocabulary:
   determinism hazards (unordered iteration, wall-clock and ``hash()``
   taint reaching deterministic sinks), worker-pool concurrency hazards
   (shared-state mutation, unpicklable payloads, fork-shared RNGs) and
-  resource leaks (``open()`` without close-on-all-paths).
+  resource leaks (``open()`` without close-on-all-paths).  Per-function
+  summaries (:mod:`repro.analysis.summaries`) carry these flows across
+  calls between functions of one module.
 
 The unified CLI (:mod:`repro.analysis.cli`, installed as
-``repro-lint``) runs all three in one pass under the baseline ratchet
-(:mod:`repro.analysis.baseline`).  Corpus audit findings
+``repro-lint``) runs all three in one per-module pass under the
+baseline ratchet (:mod:`repro.analysis.baseline`).  Corpus audit findings
 (:mod:`repro.workloads.audit`) are re-expressed in the same
 :class:`~repro.analysis.diagnostics.Diagnostic` format, so trace
 health, code health and corpus health read as one report.

@@ -1,16 +1,18 @@
 """``repro-lint`` — every analysis layer in one pass.
 
-Runs the interprocedural analyzer (:mod:`repro.analysis.interproc`,
-which drives srclint and detlint with cross-module call summaries)
-over Python sources, and tracelint over any trace files given, merging
+Runs srclint and detlint over each Python module under the given roots,
+one module at a time, and tracelint over any trace files given, merging
 everything into one :class:`~repro.analysis.diagnostics.LintReport`
 with one exit code (0 clean / 1 worst-is-warning / 2 worst-is-error,
 matching :class:`~repro.analysis.diagnostics.Severity`).
 
-Source analysis is incremental: per-module summaries and diagnostics
-are cached under ``.cache/lint/`` keyed on module source, dependency
-summaries and the analyzer code version, so a warm run re-analyzes
-only what changed (``--no-cache`` forces a cold pass).
+detlint's summaries follow calls between functions of one module.  Two
+name-based srclint rules are folded onto the summary-based detlint
+rules that supersede them: ``src/unseeded-rng`` onto
+``det/seed-provenance`` (provenance sees through aliases and wrapper
+helpers) and ``src/error-swallow`` onto ``exc/escape`` (a broad handler
+is only a finding when a swallowed exception is *proven*).  Both still
+fire when srclint runs standalone (``python -m repro.analysis.srclint``).
 
 The source layers pass through the baseline ratchet
 (:mod:`repro.analysis.baseline`): findings within the checked-in
@@ -28,7 +30,6 @@ Usage::
     repro-lint --json                  # machine-readable report + baseline info
     repro-lint --changed-only          # only findings in files changed vs HEAD
     repro-lint --no-baseline           # raw findings, ratchet off
-    repro-lint --no-cache              # cold analysis, ignore .cache/lint
     repro-lint --update-baseline       # regenerate lint-baseline.json
 
 Also callable as ``python -m repro.analysis.cli``.
@@ -43,14 +44,18 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Set, Tuple
 
+from repro.analysis import detlint, srclint
 from repro.analysis.baseline import Baseline, BaselineResult, canonical_path
 from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
-from repro.analysis.interproc import DEFAULT_CACHE_DIR, AnalysisResult
 
-__all__ = ["main", "run_lint", "changed_paths"]
+__all__ = ["main", "run_lint", "lint_module", "changed_paths"]
 
 #: Default baseline file, resolved against the working directory.
 DEFAULT_BASELINE = "lint-baseline.json"
+
+#: srclint rules superseded by summary-based detlint rules in this pass
+#: (srclint standalone keeps them).
+FOLDED_SRC_RULES = frozenset({"src/unseeded-rng", "src/error-swallow"})
 
 _TRACE_SUFFIXES = (".dmp", ".bin", ".trace")
 
@@ -74,6 +79,26 @@ def _split_paths(paths: List[Path]) -> Tuple[List[Path], List[Path]]:
         else:
             py_paths.append(path)
     return py_paths, trace_paths
+
+
+def _python_files(roots: List[Path]) -> List[Path]:
+    """Every ``*.py`` under ``roots``, sorted per root, each file once."""
+    files: List[Path] = []
+    for root in roots:
+        found = sorted(root.rglob("*.py")) if root.is_dir() else [root]
+        files.extend(p for p in found if "__pycache__" not in p.parts)
+    return list(dict.fromkeys(files))
+
+
+def lint_module(source: str, rel: str) -> List[Diagnostic]:
+    """srclint (folded rules dropped) + detlint over one module."""
+    diags = [
+        d for d in srclint.lint_source(source, rel)
+        if d.rule not in FOLDED_SRC_RULES
+    ]
+    diags.extend(detlint.lint_source(source, rel))
+    diags.sort(key=lambda d: (d.location, d.rule, d.message))
+    return diags
 
 
 def _lint_trace_file(path: Path) -> List[Diagnostic]:
@@ -135,43 +160,29 @@ def run_lint(
     paths: Optional[List[Path]] = None,
     baseline: Optional[Baseline] = None,
     *,
-    cache_dir: Optional[Path] = None,
-    use_cache: bool = True,
     changed: Optional[Set[str]] = None,
-) -> Tuple[LintReport, List[Diagnostic], Optional[BaselineResult],
-           Optional[AnalysisResult]]:
-    """Run every layer; returns (report, source findings, baseline, analysis).
+) -> Tuple[LintReport, List[Diagnostic], Optional[BaselineResult]]:
+    """Run every layer; returns (report, source findings, baseline result).
 
     ``report`` holds the *unbaselined* findings (trace findings are
     never baselined — traces are inputs, not debt).  The raw source
     findings come back separately so ``--update-baseline`` can record
-    them; ``analysis`` carries the interprocedural summaries and cache
-    statistics (``None`` when no Python paths were linted).
+    them.
 
     ``changed`` (a set of canonical paths, see :func:`changed_paths`)
-    restricts the *reported* findings to those files.  The whole
-    program is still analyzed — interprocedural summaries need every
-    module, and the warm cache makes that cheap — and the baseline is
-    applied to the full finding set so suppression counts, stale
-    allowances and deltas stay whole-repo accurate.
+    restricts the *reported* findings to those files.  Every module is
+    still linted and the baseline is applied to the full finding set,
+    so suppression counts, stale allowances and deltas stay whole-repo
+    accurate.
     """
-    from repro.analysis import interproc
-
     py_paths, trace_paths = _split_paths([Path(p) for p in (paths or [])])
     if not py_paths and not trace_paths:
         py_paths = [_default_source_root()]
 
     source_diags: List[Diagnostic] = []
-    subjects: List[str] = []
-    analysis: Optional[AnalysisResult] = None
-    if py_paths:
-        subjects.extend(str(p) for p in py_paths)
-        analysis = interproc.analyze_paths(
-            py_paths,
-            cache_dir=cache_dir or DEFAULT_CACHE_DIR,
-            use_cache=use_cache,
-        )
-        source_diags.extend(analysis.diagnostics)
+    for path in _python_files(py_paths):
+        source_diags.extend(lint_module(path.read_text(), path.as_posix()))
+    subjects = [str(p) for p in py_paths]
 
     result: Optional[BaselineResult] = None
     kept = source_diags
@@ -187,14 +198,13 @@ def run_lint(
         subjects.append(str(path))
         report.extend(_lint_trace_file(path))
     report.subject = ", ".join(subjects)
-    return report, source_diags, result, analysis
+    return report, source_diags, result
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Unified srclint + detlint + tracelint pass with "
-                    "interprocedural summaries, an incremental cache and "
+        description="Unified srclint + detlint + tracelint pass under "
                     "a baseline ratchet.",
     )
     parser.add_argument(
@@ -214,18 +224,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "and exit 0")
     parser.add_argument("--changed-only", action="store_true",
                         help="report only findings in .py files changed vs "
-                             "--changed-ref (the whole program is still "
-                             "analyzed so call summaries stay accurate)")
+                             "--changed-ref (the whole tree is still linted "
+                             "so the baseline sees every finding)")
     parser.add_argument("--changed-ref", default="HEAD", metavar="REF",
                         help="git ref --changed-only diffs against "
                              "(default: HEAD)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="skip the incremental summary cache; "
-                             "re-analyze every module")
-    parser.add_argument("--cache-dir", type=Path, default=DEFAULT_CACHE_DIR,
-                        metavar="DIR",
-                        help=f"summary cache directory "
-                             f"(default: {DEFAULT_CACHE_DIR})")
     args = parser.parse_args(argv)
 
     baseline_path = args.baseline or Path(DEFAULT_BASELINE)
@@ -241,12 +244,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"repro-lint: {exc}", file=sys.stderr)
             return 2
 
-    report, source_diags, result, analysis = run_lint(
-        args.paths or None,
-        baseline,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        changed=changed,
+    report, source_diags, result = run_lint(
+        args.paths or None, baseline, changed=changed
     )
 
     if args.update_baseline:
@@ -260,8 +259,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.as_json:
         payload = report.to_json()
-        if analysis is not None:
-            payload["cache"] = analysis.stats()
         if changed is not None:
             payload["changed_only"] = {
                 "ref": args.changed_ref,
@@ -277,10 +274,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(report.render())
-        if analysis is not None:
-            stats = analysis.stats()
-            print(f"cache: {stats['analyzed']} of {stats['modules']} "
-                  f"module(s) analyzed, {stats['cache_hits']} cache hit(s)")
         if changed is not None:
             print(f"changed-only: {len(changed)} file(s) changed vs "
                   f"{args.changed_ref}")

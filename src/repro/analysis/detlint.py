@@ -10,7 +10,8 @@ function?  Each function body is lowered to a CFG
 (:mod:`repro.analysis.dataflow`) is run to a fixpoint before the rules
 fire.
 
-Rules (all intraprocedural; see DESIGN.md for scope and limits):
+Rules (flow follows calls between functions of one module through
+:mod:`repro.analysis.summaries`; see DESIGN.md for scope and limits):
 
 ``det/unordered-iter``
     ERROR when iteration order of a ``set``/``frozenset`` (or an
@@ -112,7 +113,7 @@ _CALL_PROPAGATE = frozenset({
     WALLCLOCK, PYHASH, ORDER_DEP, RNG_SEEDED, RNG_UNSEEDED,
 })
 
-#: Sink tag classes.  The interprocedural layer
+#: Sink tag classes.  The summary layer
 #: (:mod:`repro.analysis.summaries`) seeds every parameter with one
 #: symbolic tag ``@p<i>.<cls>`` per class, so sanitizers can strip a
 #: class without losing the others (``sorted(x)`` clears ``unordered``
@@ -1157,22 +1158,12 @@ def _param_names(node) -> List[str]:
     return params
 
 
-def lint_source(
-    source: str,
-    rel: str = "<string>",
-    *,
-    module: str = "",
-    external=None,
-    summaries=None,
-) -> List[Diagnostic]:
+def lint_source(source: str, rel: str = "<string>") -> List[Diagnostic]:
     """Run every detlint rule over one module's source text.
 
-    Interprocedural context is optional: without it, per-module
-    summaries are computed on the fly (intra-module resolution only).
-    ``external`` is a ``(dotted module, qualname) -> FunctionSummary``
-    lookup supplied by :mod:`repro.analysis.interproc`; ``summaries``
-    short-circuits the per-module summary computation when the caller
-    already ran it.
+    Per-function summaries (:mod:`repro.analysis.summaries`) are
+    computed for the module first, so flows that cross calls between
+    its functions are seen; calls into other modules are not resolved.
     """
     from repro.analysis import summaries as sm
     from repro.analysis.srclint import _SWALLOW_SCOPE
@@ -1187,14 +1178,9 @@ def lint_source(
                 location=f"{rel}:{exc.lineno or 0}",
             )
         ]
-    if summaries is None:
-        summaries = sm.compute_module_summaries(
-            tree, rel, module, external=external
-        )
-    imap = df.import_map(
-        tree, package=module.rsplit(".", 1)[0] if "." in module else ""
-    )
-    resolver = sm.CallResolver(module, summaries, imap, external)
+    summaries = sm.compute_module_summaries(tree, rel)
+    imap = df.import_map(tree)
+    resolver = sm.CallResolver(summaries)
     bindings = df.module_bindings(tree)
     workers = df.worker_functions(tree)
     module_sets = _module_set_bindings(tree)

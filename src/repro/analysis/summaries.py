@@ -1,10 +1,10 @@
-"""Bottom-up per-function summaries for interprocedural linting.
+"""Bottom-up per-function summaries for cross-function linting.
 
 :mod:`repro.analysis.detlint` answers flow questions inside one
-function; this module lifts the same tag machinery across call
-boundaries.  Every function (and the module body) gets a
-:class:`FunctionSummary` computed to fixpoint over the strongly
-connected components of the call graph:
+function; this module lifts the same tag machinery across the calls
+between functions of one module.  Every function (and the module
+body) gets a :class:`FunctionSummary` computed to fixpoint over the
+strongly connected components of the module's call graph:
 
 * which taint tags the function *generates* into its return value
   (``return_tags``) and through which call chain (``origins``);
@@ -21,26 +21,23 @@ connected components of the call graph:
   a transitive nondeterminism verdict (``nondet``; empty means the
   function is deterministic as far as the analysis can see).
 
-Summaries are plain data: they serialize to JSON for the incremental
-lint cache (:mod:`repro.analysis.interproc`) and compare by value so
-SCC fixpoints terminate on equality.
+Summaries are plain data and compare by value, so SCC fixpoints
+terminate on equality.
 
 Soundness limits (see DESIGN.md): resolution covers direct calls,
-``self.method()`` within one class, ``Class.method`` references, and
-module-alias attribute calls resolved through the import map.  Dynamic
-dispatch through containers, ``getattr``, decorators that replace
-functions, and ``**kwargs`` forwarding are invisible; unresolved calls
-contribute nothing, so the interprocedural layer adds findings but
-never invents flow through code it cannot see.
+``self.method()`` within one class and ``Class.method`` references in
+the same module.  Calls into other modules, dynamic dispatch through
+containers, ``getattr``, decorators that replace functions, and
+``**kwargs`` forwarding are invisible; unresolved calls contribute
+nothing, so the summary layer adds findings but never invents flow
+through code it cannot see.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis import dataflow as df
 
@@ -50,7 +47,6 @@ __all__ = [
     "FunctionSummary",
     "CallResolver",
     "compute_module_summaries",
-    "summaries_digest",
     "collect_class_bases",
     "MODULE_BODY",
 ]
@@ -82,25 +78,6 @@ class ParamSink:
     line: int
     chain: Tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "cls": self.cls,
-            "sink": self.sink,
-            "line": self.line,
-            "chain": list(self.chain),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ParamSink":
-        return cls(
-            index=int(payload["index"]),
-            cls=payload["cls"],
-            sink=payload["sink"],
-            line=int(payload["line"]),
-            chain=tuple(payload.get("chain", ())),
-        )
-
 
 @dataclass(frozen=True)
 class Swallow:
@@ -116,23 +93,6 @@ class Swallow:
     caught: str
     types: Tuple[str, ...]
     via: Tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "line": self.line,
-            "caught": self.caught,
-            "types": list(self.types),
-            "via": list(self.via),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Swallow":
-        return cls(
-            line=int(payload["line"]),
-            caught=payload["caught"],
-            types=tuple(payload["types"]),
-            via=tuple(payload.get("via", ())),
-        )
 
 
 @dataclass(frozen=True)
@@ -159,64 +119,8 @@ class FunctionSummary:
     def display(self) -> str:
         return f"{self.qualname}()"
 
-    def to_json(self) -> dict:
-        return {
-            "module": self.module,
-            "qualname": self.qualname,
-            "params": list(self.params),
-            "return_tags": sorted(self.return_tags),
-            "return_symbols": sorted(self.return_symbols),
-            "param_sinks": [s.to_json() for s in self.param_sinks],
-            "origins": {
-                tag: list(chain) for tag, chain in sorted(self.origins.items())
-            },
-            "escapes": sorted(self.escapes),
-            "swallows": [s.to_json() for s in self.swallows],
-            "rng_sites": [[line, name] for line, name in self.rng_sites],
-            "nondet": sorted(self.nondet),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "FunctionSummary":
-        return cls(
-            module=payload["module"],
-            qualname=payload["qualname"],
-            params=tuple(payload.get("params", ())),
-            return_tags=frozenset(payload.get("return_tags", ())),
-            return_symbols=frozenset(payload.get("return_symbols", ())),
-            param_sinks=tuple(
-                ParamSink.from_json(p) for p in payload.get("param_sinks", ())
-            ),
-            origins={
-                tag: tuple(chain)
-                for tag, chain in payload.get("origins", {}).items()
-            },
-            escapes=frozenset(payload.get("escapes", ())),
-            swallows=tuple(
-                Swallow.from_json(s) for s in payload.get("swallows", ())
-            ),
-            rng_sites=tuple(
-                (int(line), name) for line, name in payload.get("rng_sites", ())
-            ),
-            nondet=frozenset(payload.get("nondet", ())),
-        )
-
-    def __eq__(self, other: object) -> bool:  # origins is a dict: compare by value
-        if not isinstance(other, FunctionSummary):
-            return NotImplemented
-        return self.to_json() == other.to_json()
-
     def __hash__(self) -> int:
         return hash((self.module, self.qualname))
-
-
-def summaries_digest(summaries: Mapping[str, FunctionSummary]) -> str:
-    """Stable content digest of one module's summary set."""
-    image = json.dumps(
-        {qual: s.to_json() for qual, s in sorted(summaries.items())},
-        sort_keys=True,
-    )
-    return hashlib.sha256(image.encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -305,60 +209,31 @@ class SummaryBuilder:
 # Call resolution
 # ----------------------------------------------------------------------
 
-#: External lookup: (dotted module name, qualname) -> summary or None.
-ExternalLookup = Callable[[str, str], Optional[FunctionSummary]]
-
-
 class CallResolver:
-    """Maps call expressions to known function summaries.
+    """Maps call expressions to the summaries of this module's functions.
 
-    Resolution order: bare module-level functions, ``self.method()``
-    against the calling function's class, ``Class.method`` references,
-    then module-alias attribute chains through the import map and the
-    external (cross-module) lookup.  Returns ``(display, summary,
-    arg_offset)`` — ``arg_offset`` is 1 for bound ``self.m()`` calls,
-    whose first parameter is the receiver.
+    Resolution covers bare module-level functions, ``Class.method``
+    references and ``self.method()`` against the calling function's
+    class.  Returns ``(display, summary, arg_offset)`` —
+    ``arg_offset`` is 1 for bound ``self.m()`` calls, whose first
+    parameter is the receiver.  Calls into other modules resolve to
+    nothing.
     """
 
-    def __init__(
-        self,
-        module: str,
-        summaries: Dict[str, FunctionSummary],
-        imap: Dict[str, str],
-        external: Optional[ExternalLookup] = None,
-    ) -> None:
-        self.module = module
-        self.summaries = summaries  # live reference; mutated by the driver
-        self.imap = imap
-        self.external = external
+    def __init__(self, summaries: Dict[str, FunctionSummary]) -> None:
+        self.summaries = summaries  # live reference; filled by the driver
 
     def resolve(self, call: ast.Call, class_prefix: str = ""
                 ) -> Optional[Tuple[str, FunctionSummary, int]]:
         name = df.dotted_name(call.func)
         if name is None:
             return None
-        # Bare name or dotted Class.method inside this module.
         if name in self.summaries and name != MODULE_BODY:
             return name, self.summaries[name], 0
         if name.startswith("self.") and class_prefix:
             qual = f"{class_prefix}.{name[len('self.'):]}"
             if qual in self.summaries:
                 return qual, self.summaries[qual], 1
-        # Imported name or module-alias attribute chain: expand the
-        # head through the import map and try the cross-module lookup.
-        if self.external is not None:
-            full = df.resolve_dotted(name, self.imap)
-            if "." not in full:
-                return None
-            # Try every (module, qualname) split, longest module first.
-            parts = full.split(".")
-            for cut in range(len(parts) - 1, 0, -1):
-                mod = ".".join(parts[:cut])
-                qual = ".".join(parts[cut:])
-                found = self.external(mod, qual)
-                if found is not None:
-                    display = qual if mod == self.module else f"{mod}.{qual}"
-                    return display, found, 0
         return None
 
 
@@ -714,15 +589,11 @@ def compute_module_summaries(
     tree: ast.Module,
     rel: str = "<string>",
     module: str = "",
-    external: Optional[ExternalLookup] = None,
-    class_bases: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, FunctionSummary]:
     """Summaries for every function in one module, plus the module body.
 
-    ``external`` resolves cross-module calls; without it the analysis
-    is intra-module (callers outside get conservative unknowns).
-    ``class_bases`` extends the builtin exception hierarchy with
-    program-wide ``ClassDef`` bases for handler matching.
+    Resolution is intra-module: calls into other modules contribute
+    nothing to a summary.  ``module`` names the summaries' module.
     """
     from repro.analysis import detlint
 
@@ -731,10 +602,7 @@ def compute_module_summaries(
     bindings = df.module_bindings(tree)
     workers = df.worker_functions(tree)
     module_sets = detlint._module_set_bindings(tree)
-    bases = dict(collect_class_bases(tree))
-    if class_bases:
-        for name, base in class_bases.items():
-            bases.setdefault(name, base)
+    bases = collect_class_bases(tree)
     rng_exempt = rel.endswith("util/rng.py")
 
     functions: Dict[str, Tuple[ast.AST, str]] = {
@@ -742,7 +610,7 @@ def compute_module_summaries(
         for qual, node, cls in detlint._functions(tree)
     }
     summaries: Dict[str, FunctionSummary] = {}
-    resolver = CallResolver(module, summaries, imap, external)
+    resolver = CallResolver(summaries)
 
     def summarize(qual: str) -> FunctionSummary:
         node, class_prefix = functions[qual]

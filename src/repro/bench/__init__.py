@@ -3,9 +3,8 @@
 Each PR that claims a performance win checks in a ``BENCH_<pr>.json``
 artifact, so the trajectory is a series of committed, schema-stable
 measurements rather than numbers in commit messages.
-``repro.analysis.bench`` covers the lint tooling;
-:mod:`repro.bench.sensitivity` covers zero-replay design-grid
-pricing off the recorded dependency graph.  End-to-end study timing,
+:mod:`repro.bench.sensitivity` covers zero-replay design-grid pricing
+off the recorded dependency graph.  End-to-end study timing,
 including the simulation engines, is ``python -m studybench``.
 
 Run the sensitivity bench with ``make bench-sensitivity`` or::

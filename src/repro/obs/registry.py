@@ -535,32 +535,51 @@ def span(name: str):
     return _active.span(name) if _active is not None else NULL_SPAN
 
 
+#: Registries of the open :func:`collect_task` scopes, in entry order,
+#: and the registry that was active before the first of them opened.
+#: Tasks on different threads may exit in any order, so each exit
+#: removes its own registry and the newest open one (or, once none is
+#: open, the pre-task registry) becomes active.
+_task_registries: List[MetricsRegistry] = []
+_before_tasks: Optional[MetricsRegistry] = None
+_task_lock = threading.Lock()
+
+
 class collect_task:
     """Context manager: collect one task's metrics into a fresh registry.
 
     Worker entrypoints wrap each task with this so the task's metrics
-    are isolated and serializable; the previous active registry (if
-    any) is restored on exit.  ``enabled=False`` degrades to a no-op
+    are isolated and serializable.  Once every open task has exited, in
+    any order, the registry that was active before the first one
+    entered is active again.  ``enabled=False`` degrades to a no-op
     that yields None, keeping disabled runs on the null path.
     """
 
-    __slots__ = ("_enabled", "_registry", "_previous")
+    __slots__ = ("_enabled", "_registry")
 
     def __init__(self, enabled: bool = True):
         self._enabled = enabled
         self._registry: Optional[MetricsRegistry] = None
-        self._previous: Optional[MetricsRegistry] = None
 
     def __enter__(self) -> Optional[MetricsRegistry]:
-        global _active
+        global _active, _before_tasks
         if not self._enabled:
             return None
-        self._previous = _active
         self._registry = MetricsRegistry()
-        _active = self._registry
+        with _task_lock:
+            if not _task_registries:
+                _before_tasks = _active
+            _task_registries.append(self._registry)
+            _active = self._registry
         return self._registry
 
     def __exit__(self, exc_type, exc, tb) -> None:
         global _active
-        if self._enabled:
-            _active = self._previous
+        if not self._enabled:
+            return
+        with _task_lock:
+            for i, registry in enumerate(_task_registries):
+                if registry is self._registry:
+                    del _task_registries[i]
+                    break
+            _active = _task_registries[-1] if _task_registries else _before_tasks

@@ -40,7 +40,6 @@ __all__ = [
     "machine_config_hash",
     "code_version",
     "workloads_code_version",
-    "analysis_code_version",
     "record_cache_key",
 ]
 
@@ -60,13 +59,6 @@ MEASUREMENT_STACK = (
     "trace/features.py",
     "trace/trace.py",
 )
-
-#: Sources whose edits change what the static analyzers compute: the
-#: whole :mod:`repro.analysis` package.  Hashed by
-#: :func:`analysis_code_version` into the incremental lint cache key
-#: (:mod:`repro.analysis.interproc`), so touching any rule, the CFG
-#: builder or the summary machinery cold-starts ``.cache/lint/``.
-ANALYSIS_STACK = ("analysis",)
 
 #: Sources that determine what trace a :class:`TraceSpec` builds into —
 #: the generators plus the seeded RNG machinery they draw from.  Hashed
@@ -127,12 +119,6 @@ def code_version() -> str:
 def workloads_code_version() -> str:
     """Hash of the workload-generation sources (hex digest, cached)."""
     return _hash_sources(WORKLOADS_STACK)
-
-
-@lru_cache(maxsize=1)
-def analysis_code_version() -> str:
-    """Hash of the static-analysis sources (hex digest, cached)."""
-    return _hash_sources(ANALYSIS_STACK)
 
 
 def record_cache_key(

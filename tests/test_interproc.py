@@ -1,43 +1,26 @@
-"""Tests for the interprocedural summary layer.
+"""Tests for the cross-function summary layer.
 
 Covers :mod:`repro.analysis.summaries` (per-function summaries,
-exception flow, SCC fixpoint), :mod:`repro.analysis.interproc`
-(whole-program driver, rule folding, incremental cache) and the
-cross-module diagnostics they produce through detlint.
+exception flow, SCC fixpoint) and the diagnostics they produce through
+detlint in the per-module ``repro-lint`` pass
+(:func:`repro.analysis.cli.lint_module`).
 """
-
-import json
-
-import pytest
-
-from repro.analysis import detlint, interproc, srclint
-from repro.analysis.summaries import (
-    MODULE_BODY,
-    FunctionSummary,
-    compute_module_summaries,
-    param_symbol,
-    parse_symbol,
-    summaries_digest,
-    _tarjan,
-)
 
 import ast
 
-
-def write_module(tmp_path, rel, source):
-    path = tmp_path / rel
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(source)
-    return path
-
-
-def analyze(tmp_path, **kwargs):
-    kwargs.setdefault("cache_dir", tmp_path / ".cache")
-    return interproc.analyze_paths([tmp_path / "repro"], **kwargs)
+from repro.analysis import detlint, srclint
+from repro.analysis.cli import lint_module
+from repro.analysis.summaries import (
+    MODULE_BODY,
+    compute_module_summaries,
+    param_symbol,
+    parse_symbol,
+    _tarjan,
+)
 
 
-def rules(result):
-    return [d.rule for d in result.diagnostics]
+def rules(diags):
+    return [d.rule for d in diags]
 
 
 # ----------------------------------------------------------------------
@@ -139,19 +122,6 @@ class TestSummaries:
         assert MODULE_BODY in summaries
         assert "wallclock" in summaries[MODULE_BODY].nondet
 
-    def test_summary_json_roundtrip_and_digest(self):
-        summaries = self.summarize(
-            "import time\n"
-            "def now():\n"
-            "    return time.time()\n"
-        )
-        clone = {
-            q: FunctionSummary.from_json(s.to_json())
-            for q, s in summaries.items()
-        }
-        assert clone == summaries
-        assert summaries_digest(clone) == summaries_digest(summaries)
-
     def test_tarjan_orders_dependencies_first(self):
         sccs = _tarjan(
             ["a", "b", "c", "d"],
@@ -163,93 +133,77 @@ class TestSummaries:
 
 
 # ----------------------------------------------------------------------
-# Cross-module diagnostics
+# Calls between functions of one module
 # ----------------------------------------------------------------------
 
 class TestCrossModule:
-    def test_two_hop_wallclock_chain_is_named(self, tmp_path):
-        write_module(
-            tmp_path, "repro/core/clock.py",
+    """Helper and caller in one module, through ``repro-lint``'s
+    per-module pass.
+
+    Calls into other modules are not resolved, so each case keeps the
+    helper beside its caller.  The class keeps the name it had when the
+    cases spanned two modules, so its test ids stay stable.
+    """
+
+    REL = "src/repro/core/mod.py"
+
+    def test_two_hop_wallclock_chain_is_named(self):
+        diags = lint_module(
+            "import json\n"
             "import time\n"
             "def helper():\n"
             "    return time.time()\n"
             "def mid():\n"
-            "    return helper()\n",
-        )
-        write_module(
-            tmp_path, "repro/core/writer.py",
-            "import json\n"
-            "from repro.core.clock import mid\n"
+            "    return helper()\n"
             "def record(payload):\n"
             "    return json.dumps({'at': mid(), 'payload': payload})\n",
+            self.REL,
         )
-        result = analyze(tmp_path, use_cache=False)
-        (diag,) = [d for d in result.diagnostics
-                   if d.rule == "det/wall-clock"]
-        assert "writer.py" in diag.location
+        (diag,) = [d for d in diags if d.rule == "det/wall-clock"]
+        assert diag.location == f"{self.REL}:8"
         assert "mid() -> helper() -> time.time()" in diag.message
 
-    def test_param_sink_reported_at_call_site(self, tmp_path):
-        write_module(
-            tmp_path, "repro/util/sink.py",
+    def test_param_sink_reported_at_call_site(self):
+        diags = lint_module(
             "import json\n"
             "def persist(values):\n"
-            "    return json.dumps(values)\n",
-        )
-        write_module(
-            tmp_path, "repro/core/caller.py",
-            "from repro.util.sink import persist\n"
+            "    return json.dumps(values)\n"
             "def bad(items):\n"
             "    return persist(set(items))\n"
             "def good(items):\n"
             "    return persist(sorted(items))\n",
+            self.REL,
         )
-        result = analyze(tmp_path, use_cache=False)
-        unordered = [d for d in result.diagnostics
-                     if d.rule == "det/unordered-iter"]
+        unordered = [d for d in diags if d.rule == "det/unordered-iter"]
         assert len(unordered) == 1
-        assert "caller.py:3" in unordered[0].location
+        assert unordered[0].location == f"{self.REL}:5"
         assert "persist()" in unordered[0].message
 
-    def test_seed_provenance_through_aliased_helper(self, tmp_path):
-        write_module(
-            tmp_path, "repro/util/mkrng.py",
+    def test_seed_provenance_through_aliased_helper(self):
+        diags = lint_module(
             "import numpy.random as nr\n"
             "def fresh():\n"
-            "    return nr.default_rng()\n",
-        )
-        write_module(
-            tmp_path, "repro/core/draws.py",
-            "from repro.util.mkrng import fresh\n"
+            "    return nr.default_rng()\n"
             "def draw():\n"
             "    return fresh().integers(0, 10)\n",
+            self.REL,
         )
-        result = analyze(tmp_path, use_cache=False)
-        seeded = [d for d in result.diagnostics
-                  if d.rule == "det/seed-provenance"]
-        assert any("mkrng.py" in d.location for d in seeded)
-        # src/unseeded-rng is folded away for covered modules.
-        assert "src/unseeded-rng" not in rules(result)
+        (diag,) = [d for d in diags if d.rule == "det/seed-provenance"]
+        assert diag.location == f"{self.REL}:3"
 
-    def test_blessed_substream_path_is_silent(self, tmp_path):
-        write_module(
-            tmp_path, "repro/core/draws.py",
+    def test_blessed_substream_path_is_silent(self):
+        diags = lint_module(
             "from repro.util.rng import substream\n"
             "def draw(seed):\n"
             "    return substream(seed, 'draws').integers(0, 10)\n",
+            self.REL,
         )
-        result = analyze(tmp_path, use_cache=False)
-        assert "det/seed-provenance" not in rules(result)
+        assert "det/seed-provenance" not in rules(diags)
 
-    def test_exc_escape_fires_only_on_proven_swallow(self, tmp_path):
-        write_module(
-            tmp_path, "repro/core/deep.py",
+    def test_exc_escape_fires_only_on_proven_swallow(self):
+        diags = lint_module(
             "def boom():\n"
-            "    raise ValueError('x')\n",
-        )
-        write_module(
-            tmp_path, "repro/core/handlers.py",
-            "from repro.core.deep import boom\n"
+            "    raise ValueError('x')\n"
             "def swallow():\n"
             "    try:\n"
             "        return boom()\n"
@@ -260,119 +214,36 @@ class TestCrossModule:
             "        return boom()\n"
             "    except Exception:\n"
             "        raise\n",
+            self.REL,
         )
-        result = analyze(tmp_path, use_cache=False)
-        escapes = [d for d in result.diagnostics if d.rule == "exc/escape"]
+        escapes = [d for d in diags if d.rule == "exc/escape"]
         assert len(escapes) == 1
         assert "swallow" in escapes[0].message
         assert "ValueError" in escapes[0].message
-        # The folded srclint rule stays out of covered modules.
-        assert "src/error-swallow" not in rules(result)
+        # The folded srclint rule stays out of repro-lint output.
+        assert "src/error-swallow" not in rules(diags)
+
+    def test_folded_srclint_rules_absent_from_repro_lint(self):
+        source = (
+            "import random\n"
+            "def draw():\n"
+            "    return random.random()\n"
+            "def boom():\n"
+            "    raise ValueError('x')\n"
+            "def swallow():\n"
+            "    try:\n"
+            "        return boom()\n"
+            "    except Exception:\n"
+            "        return None\n"
+        )
+        standalone = rules(srclint.lint_source(source, self.REL))
+        assert {"src/unseeded-rng", "src/error-swallow"} <= set(standalone)
+        found = rules(lint_module(source, self.REL))
+        assert "src/unseeded-rng" not in found
+        assert "src/error-swallow" not in found
+        assert {"det/seed-provenance", "exc/escape"} <= set(found)
 
     def test_srclint_standalone_keeps_folded_rules(self):
         source = "import random\ndef f():\n    return random.random()\n"
         diags = list(srclint.lint_source(source, "repro/core/x.py"))
         assert any(d.rule == "src/unseeded-rng" for d in diags)
-
-
-# ----------------------------------------------------------------------
-# Incremental cache
-# ----------------------------------------------------------------------
-
-class TestCache:
-    def tree(self, tmp_path):
-        write_module(
-            tmp_path, "repro/core/clock.py",
-            "import time\n"
-            "def helper():\n"
-            "    return time.time()\n",
-        )
-        write_module(
-            tmp_path, "repro/core/writer.py",
-            "import json\n"
-            "from repro.core.clock import helper\n"
-            "def record():\n"
-            "    return json.dumps({'at': helper()})\n",
-        )
-        write_module(
-            tmp_path, "repro/core/standalone.py",
-            "def double(x):\n    return 2 * x\n",
-        )
-
-    def test_warm_run_reanalyzes_nothing(self, tmp_path):
-        self.tree(tmp_path)
-        cold = analyze(tmp_path)
-        assert cold.stats()["cache_hits"] == 0
-        assert cold.stats()["analyzed"] == cold.stats()["modules"] == 3
-        warm = analyze(tmp_path)
-        assert warm.stats()["analyzed"] == 0
-        assert warm.stats()["cache_hits"] == 3
-        assert [d.to_json() for d in warm.diagnostics] == \
-               [d.to_json() for d in cold.diagnostics]
-        assert {m: {q: s.to_json() for q, s in fs.items()}
-                for m, fs in warm.summaries.items()} == \
-               {m: {q: s.to_json() for q, s in fs.items()}
-                for m, fs in cold.summaries.items()}
-
-    def test_edit_invalidates_module_and_importers(self, tmp_path):
-        self.tree(tmp_path)
-        analyze(tmp_path)
-        path = tmp_path / "repro/core/clock.py"
-        path.write_text(path.read_text() + "\ndef extra():\n    return 1\n")
-        warm = analyze(tmp_path)
-        # clock changed; writer depends on it; standalone is untouched.
-        assert warm.analyzed == ["repro.core.clock", "repro.core.writer"]
-        assert warm.cache_hits == ["repro.core.standalone"]
-
-    def test_analyzer_version_change_cold_starts(self, tmp_path, monkeypatch):
-        self.tree(tmp_path)
-        analyze(tmp_path)
-        import repro.util.fingerprint as fp
-
-        monkeypatch.setattr(fp, "analysis_code_version", lambda: "different")
-        warm = analyze(tmp_path)
-        assert warm.stats()["analyzed"] == 3
-        assert warm.stats()["cache_hits"] == 0
-
-    def test_no_cache_never_touches_disk(self, tmp_path):
-        self.tree(tmp_path)
-        cache = tmp_path / ".cache"
-        analyze(tmp_path, use_cache=False)
-        assert not cache.exists()
-
-    def test_corrupt_entry_falls_back_to_analysis(self, tmp_path):
-        self.tree(tmp_path)
-        analyze(tmp_path)
-        cache = tmp_path / ".cache"
-        for entry in cache.glob("*.json"):
-            entry.write_text("{not json")
-        warm = analyze(tmp_path)
-        assert warm.stats()["analyzed"] == 3
-        # And the rewritten entries hit again.
-        assert analyze(tmp_path).stats()["cache_hits"] == 3
-
-    def test_syntax_error_module_reports_like_standalone(self, tmp_path):
-        write_module(tmp_path, "repro/core/broken.py", "def f(:\n")
-        result = analyze(tmp_path, use_cache=False)
-        assert "src/syntax-error" in rules(result) or any(
-            "syntax" in d.rule for d in result.diagnostics
-        )
-
-
-# ----------------------------------------------------------------------
-# Whole-repo acceptance
-# ----------------------------------------------------------------------
-
-class TestRepoAcceptance:
-    def test_repo_summaries_cover_all_modules(self):
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parent.parent / "src" / "repro"
-        result = interproc.analyze_paths([root], use_cache=False)
-        assert result.stats()["modules"] > 50
-        assert set(result.summaries) == set(result.modules)
-        # The blessed RNG module itself is exempt from seed-provenance.
-        assert not any(
-            d.rule == "det/seed-provenance" and "util/rng.py" in d.location
-            for d in result.diagnostics
-        )

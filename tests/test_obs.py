@@ -11,6 +11,9 @@ render/parse round trip, manifest schema v1→v3 loading, the warm-cache
 """
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -217,6 +220,54 @@ class TestActiveRegistry:
         assert obs.active_registry() is global_reg
         assert "repro_inner_total" not in global_reg.snapshot().counters
         assert global_reg.snapshot().counters["repro_outer_total"] == 1
+
+    def test_collect_task_restores_after_interleaved_and_nested_exits(self):
+        # Tasks on serve worker threads overlap: A enters, B enters, then
+        # either A exits first (interleaved) or B does (nested).  The open
+        # task keeps collecting, and once both exit the registry active
+        # before A entered is active again.
+        for metrics_on in (False, True):
+            before = obs.enable() if metrics_on else None
+            for order in ("interleaved", "nested"):
+                a, b = obs.collect_task(), obs.collect_task()
+                reg_a = a.__enter__()
+                reg_b = b.__enter__()
+                assert obs.active_registry() is reg_b
+                first, last, still_open = (
+                    (a, b, reg_b) if order == "interleaved" else (b, a, reg_a)
+                )
+                first.__exit__(None, None, None)
+                assert obs.active_registry() is still_open, order
+                last.__exit__(None, None, None)
+                assert obs.active_registry() is before, order
+                assert obs.enabled() is (before is not None), order
+
+    def test_collect_task_threads_leave_prior_registry_active(self):
+        # More task threads than cores, switching often: whatever order
+        # their scopes close in, the process-wide registry ends as before.
+        before = obs.enable()
+        start = threading.Barrier(8)
+
+        def worker():
+            start.wait(timeout=10)
+            for _ in range(200):
+                with obs.collect_task():
+                    time.sleep(0)  # yield inside the scope
+                    obs.counter("repro_stress_total").inc()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert obs.active_registry() is before
+        assert "repro_stress_total" not in before.snapshot().counters
 
 
 # -- walltime family and the deterministic view -------------------------------
