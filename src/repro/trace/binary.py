@@ -1,10 +1,11 @@
 """Compact binary trace format.
 
 The ASCII format (:mod:`repro.trace.dumpi`) is convenient to diff but
-bulky — a million-op trace costs ~60 MB.  This module packs the same
-information with ``struct``: a header, a communicator table, then one
-fixed-width 40-byte record per op.  Files are 5-10x smaller and load
-about an order of magnitude faster.
+bulky and slow to parse.  This module packs the same information with
+``struct``: a header, a communicator table, then one fixed-width 49-byte
+record per op.  On the 19 corpus apps at 16 ranks (58,832 ops) the
+binary files are 1.4x smaller (2.9 MB against 4.0 MB) and load 5.8x
+faster (0.06 s against 0.35 s, one core of a shared 2-vCPU VM).
 
 Layout (little-endian)::
 
@@ -13,19 +14,30 @@ Layout (little-endian)::
                ranks_per_node, flags, metadata, comm table
     nranks     u32
     per rank:  u32 op count, then op records
-    op record: u8 kind, i32 peer, u64 nbytes, i32 tag, i32 comm,
+    op record: u8 kind, i32 peer, i64 nbytes, i32 tag, i32 comm,
                i32 req, f64 duration, f64 t_entry, f64 t_exit
+
+:func:`loads_binary` decodes one rank at a time.  It checks that the
+rank's records fit in the buffer, views them as a numpy block and runs
+every check :class:`~repro.trace.events.Op` makes over the whole block
+(:func:`~repro.trace.events.check_op_block`); only then does it build
+the ops, without running ``Op.__init__`` again.  Every malformed input
+raises :class:`ValueError`: a wrong magic; a file cut short (naming the
+part, the rank and the missing byte count); bytes after the last rank;
+and a record ``Op`` rejects, with exactly the message ``Op`` gives the
+first such record in file order.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from pathlib import Path
-from typing import List, Union
+from typing import List, Tuple, Union
 
-from repro.trace.events import Op, OpKind
+import numpy as np
+
+from repro.trace.events import Op, OpKind, check_op_block
 from repro.trace.trace import TraceSet
 
 __all__ = ["write_trace_binary", "read_trace_binary", "MAGIC"]
@@ -34,6 +46,23 @@ MAGIC = b"REPROTR1"
 # kind, peer, nbytes, tag, comm, req, duration, t_entry, t_exit
 _OP = struct.Struct("<Biqiiiddd")
 _U32 = struct.Struct("<I")
+# The same record as a packed numpy dtype (itemsize 49), to check a
+# rank's records as one block.
+_OP_DTYPE = np.dtype(
+    [
+        ("kind", "u1"),
+        ("peer", "<i4"),
+        ("nbytes", "<i8"),
+        ("tag", "<i4"),
+        ("comm", "<i4"),
+        ("req", "<i4"),
+        ("duration", "<f8"),
+        ("t_entry", "<f8"),
+        ("t_exit", "<f8"),
+    ]
+)
+# OpKind codes run 0..14, so a valid kind byte indexes its member.
+_KINDS = tuple(OpKind)
 
 
 def _pack_header(trace: TraceSet) -> bytes:
@@ -53,65 +82,107 @@ def _pack_header(trace: TraceSet) -> bytes:
 
 def dumps_binary(trace: TraceSet) -> bytes:
     """Serialize a trace to the binary format."""
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(_pack_header(trace))
-    out.write(_U32.pack(trace.nranks))
+    pack = _OP.pack
+    parts = [MAGIC, _pack_header(trace), _U32.pack(trace.nranks)]
     for stream in trace.ranks:
-        out.write(_U32.pack(len(stream)))
-        for op in stream:
-            out.write(
-                _OP.pack(
-                    int(op.kind),
-                    op.peer,
-                    op.nbytes,
-                    op.tag,
-                    op.comm,
-                    op.req,
-                    op.duration,
-                    op.t_entry,
-                    op.t_exit,
-                )
+        parts.append(_U32.pack(len(stream)))
+        parts.append(
+            b"".join(
+                [
+                    pack(
+                        op.kind,
+                        op.peer,
+                        op.nbytes,
+                        op.tag,
+                        op.comm,
+                        op.req,
+                        op.duration,
+                        op.t_entry,
+                        op.t_exit,
+                    )
+                    for op in stream
+                ]
             )
-    return out.getvalue()
+        )
+    return b"".join(parts)
+
+
+def _take(view: memoryview, offset: int, size: int, what: str) -> int:
+    """The offset past ``size`` bytes of ``what`` at ``offset``.
+
+    Raises :class:`ValueError` naming the missing byte count when the
+    buffer ends first.
+    """
+    missing = offset + size - len(view)
+    if missing > 0:
+        raise ValueError(
+            f"truncated binary trace: {what}: {size} bytes needed at offset "
+            f"{offset}, {missing} missing"
+        )
+    return offset + size
+
+
+def _u32(view: memoryview, offset: int, what: str) -> Tuple[int, int]:
+    """The u32 ``what`` at ``offset`` and the offset past it."""
+    end = _take(view, offset, _U32.size, what)
+    return _U32.unpack_from(view, offset)[0], end
+
+
+def _decode_rank(view: memoryview, offset: int, nops: int) -> List[Op]:
+    """The ``nops`` op records at ``offset`` as checked :class:`Op` objects."""
+    block = np.frombuffer(view, dtype=_OP_DTYPE, count=nops, offset=offset)
+    check_op_block(
+        block["kind"], block["peer"], block["nbytes"], block["req"], block["duration"]
+    )
+    # Every record passed Op's checks, and struct already yields the
+    # builtin types Op.__init__ converts to, so build the ops the way
+    # Op.copy does.
+    kinds = _KINDS
+    new = Op.__new__
+    stream: List[Op] = []
+    append = stream.append
+    for kind, peer, nbytes, tag, comm, req, duration, t_entry, t_exit in _OP.iter_unpack(
+        view[offset : offset + nops * _OP.size]
+    ):
+        op = new(Op)
+        op.kind = kinds[kind]
+        op.peer = peer
+        op.nbytes = nbytes
+        op.tag = tag
+        op.comm = comm
+        op.req = req
+        op.duration = duration
+        op.t_entry = t_entry
+        op.t_exit = t_exit
+        append(op)
+    return stream
 
 
 def loads_binary(data: bytes) -> TraceSet:
-    """Parse the binary format back into a :class:`TraceSet`."""
+    """Parse the binary format back into a :class:`TraceSet`.
+
+    Raises :class:`ValueError` for anything that is not a whole, valid
+    trace: a wrong magic, a file cut short or carrying bytes past its
+    last rank, or a record :class:`Op` would reject.
+    """
     view = memoryview(data)
     if bytes(view[: len(MAGIC)]) != MAGIC:
         raise ValueError("not a REPROTR1 binary trace")
-    offset = len(MAGIC)
-    (hlen,) = _U32.unpack_from(view, offset)
-    offset += _U32.size
-    header = json.loads(bytes(view[offset : offset + hlen]).decode("utf-8"))
-    offset += hlen
-    (nranks,) = _U32.unpack_from(view, offset)
-    offset += _U32.size
+    hlen, offset = _u32(view, len(MAGIC), "header length")
+    end = _take(view, offset, hlen, "header")
+    header = json.loads(bytes(view[offset:end]).decode("utf-8"))
+    nranks, offset = _u32(view, end, "rank count")
     ranks: List[List[Op]] = []
-    for _ in range(nranks):
-        (nops,) = _U32.unpack_from(view, offset)
-        offset += _U32.size
-        stream: List[Op] = []
-        for _ in range(nops):
-            kind, peer, nbytes, tag, comm, req, dur, entry, exit_ = _OP.unpack_from(
-                view, offset
-            )
-            offset += _OP.size
-            stream.append(
-                Op(
-                    OpKind(kind),
-                    peer=peer,
-                    nbytes=nbytes,
-                    tag=tag,
-                    comm=comm,
-                    req=req,
-                    duration=dur,
-                    t_entry=entry,
-                    t_exit=exit_,
-                )
-            )
-        ranks.append(stream)
+    for rank in range(nranks):
+        nops, offset = _u32(view, offset, f"rank {rank} op count")
+        end = _take(view, offset, nops * _OP.size, f"rank {rank}'s {nops} op records")
+        ranks.append(_decode_rank(view, offset, nops))
+        offset = end
+    if offset != len(view):
+        raise ValueError(
+            f"binary trace has {len(view) - offset} trailing bytes after its "
+            f"last rank ({nranks} ranks end at offset {offset})"
+        )
     return TraceSet(
         name=header["name"],
         app=header["app"],

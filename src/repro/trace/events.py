@@ -19,7 +19,18 @@ import math
 from enum import IntEnum
 from typing import Iterable, Optional, Tuple
 
-__all__ = ["OpKind", "Op", "P2P_KINDS", "COLLECTIVE_KINDS", "make_compute"]
+import numpy as np
+
+__all__ = [
+    "OpKind",
+    "Op",
+    "P2P_KINDS",
+    "COLLECTIVE_KINDS",
+    "SEND_LIKE_KINDS",
+    "REQUEST_KINDS",
+    "check_op_block",
+    "make_compute",
+]
 
 
 class OpKind(IntEnum):
@@ -61,6 +72,12 @@ COLLECTIVE_KINDS = frozenset(
         OpKind.REDUCE_SCATTER,
     }
 )
+
+#: Point-to-point sends (the ops that put a message on the wire).
+SEND_LIKE_KINDS = frozenset({OpKind.SEND, OpKind.ISEND})
+
+#: Op kinds that carry a request id.
+REQUEST_KINDS = frozenset({OpKind.ISEND, OpKind.IRECV, OpKind.WAIT})
 
 _ROOTED = frozenset({OpKind.BCAST, OpKind.REDUCE, OpKind.GATHER, OpKind.SCATTER})
 
@@ -120,7 +137,7 @@ class Op:
             raise ValueError(f"{OpKind(kind).name} requires a peer rank")
         if kind in _ROOTED and peer < 0:
             raise ValueError(f"{OpKind(kind).name} requires a root rank in peer")
-        if kind in (OpKind.ISEND, OpKind.IRECV, OpKind.WAIT) and req < 0:
+        if kind in REQUEST_KINDS and req < 0:
             raise ValueError(f"{OpKind(kind).name} requires a request id")
         self.kind = OpKind(kind)
         self.peer = int(peer)
@@ -165,7 +182,7 @@ class Op:
     @property
     def is_send_like(self) -> bool:
         """True for SEND and ISEND."""
-        return self.kind in (OpKind.SEND, OpKind.ISEND)
+        return self.kind in SEND_LIKE_KINDS
 
     @property
     def is_recv_like(self) -> bool:
@@ -203,6 +220,54 @@ class Op:
             if self.comm:
                 parts.append(f"comm={self.comm}")
         return f"Op({', '.join(parts)})"
+
+
+def _kind_table(kinds) -> np.ndarray:
+    """A 256-entry lookup over kind codes, true for ``kinds``."""
+    table = np.zeros(256, dtype=bool)
+    table[[int(k) for k in kinds]] = True
+    return table
+
+
+# The rules of ``Op.__init__`` as lookups over a kind byte, so a block of
+# decoded records is checked with a few array operations.
+_VALID_KIND = _kind_table(OpKind)
+_NEEDS_PEER = _kind_table(P2P_KINDS | _ROOTED)
+_NEEDS_REQ = _kind_table(REQUEST_KINDS)
+
+
+def check_op_block(
+    kind: np.ndarray,
+    peer: np.ndarray,
+    nbytes: np.ndarray,
+    req: np.ndarray,
+    duration: np.ndarray,
+) -> None:
+    """Run the checks of :class:`Op` over a block of records at once.
+
+    The arguments are equal-length columns of the block, ``kind`` as
+    ``uint8`` codes.  A row is suspect when its kind is not an
+    :class:`OpKind`, ``nbytes < 0``, ``duration`` is not finite and
+    non-negative, a p2p or rooted kind has ``peer < 0``, or a request
+    kind has ``req < 0``.  Suspect rows are rebuilt with ``Op(...)`` in
+    order, so the first one raises exactly the :class:`ValueError` the
+    per-op constructor gives it.
+    """
+    bad = (
+        ~_VALID_KIND[kind]
+        | (nbytes < 0)
+        | ~(np.isfinite(duration) & (duration >= 0))
+        | (_NEEDS_PEER[kind] & (peer < 0))
+        | (_NEEDS_REQ[kind] & (req < 0))
+    )
+    for i in np.flatnonzero(bad):
+        Op(
+            OpKind(int(kind[i])),
+            peer=int(peer[i]),
+            nbytes=int(nbytes[i]),
+            req=int(req[i]),
+            duration=float(duration[i]),
+        )
 
 
 def make_compute(duration: float) -> Op:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.trace.events import Op, OpKind
+from repro.trace.events import SEND_LIKE_KINDS, Op, OpKind
 from repro.util.validation import check_rank, require
 
 __all__ = ["TraceSet", "TraceValidationError"]
+
+_COMPUTE = OpKind.COMPUTE
 
 
 class TraceValidationError(ValueError):
@@ -93,11 +95,13 @@ class TraceSet:
 
     def message_count(self) -> int:
         """Number of p2p send initiations across all ranks."""
-        return sum(1 for stream in self.ranks for op in stream if op.is_send_like)
+        return sum(1 for stream in self.ranks for op in stream if op.kind in SEND_LIKE_KINDS)
 
     def total_send_bytes(self) -> int:
         """Total p2p payload bytes across all ranks."""
-        return sum(op.nbytes for stream in self.ranks for op in stream if op.is_send_like)
+        return sum(
+            op.nbytes for stream in self.ranks for op in stream if op.kind in SEND_LIKE_KINDS
+        )
 
     def comm_ranks(self, comm: int) -> Tuple[int, ...]:
         """World ranks belonging to communicator ``comm``."""
@@ -110,11 +114,12 @@ class TraceSet:
 
     def has_timestamps(self) -> bool:
         """True once the ground-truth synthesizer stamped every op."""
-        return all(
-            not math.isnan(op.t_entry) and not math.isnan(op.t_exit)
-            for stream in self.ranks
-            for op in stream
-        )
+        isnan = math.isnan
+        for stream in self.ranks:
+            for op in stream:
+                if isnan(op.t_entry) or isnan(op.t_exit):
+                    return False
+        return True
 
     def measured_total_time(self) -> float:
         """Measured application time: the latest op exit across ranks."""
@@ -129,13 +134,14 @@ class TraceSet:
 
     def measured_comm_time(self) -> float:
         """Measured time in MPI calls, averaged over ranks."""
+        isnan = math.isnan
         per_rank = []
         for stream in self.ranks:
             total = 0.0
             for op in stream:
-                if op.kind != OpKind.COMPUTE:
-                    d = op.measured_duration
-                    if math.isnan(d):
+                if op.kind != _COMPUTE:
+                    d = op.t_exit - op.t_entry
+                    if isnan(d):
                         raise ValueError(f"trace {self.name!r} has no measured timestamps")
                     total += d
             per_rank.append(total)
