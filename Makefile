@@ -10,10 +10,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 check: lint test
 
-# Unified source pass, one module at a time: srclint (AST invariants)
-# + detlint (CFG/dataflow determinism, concurrency and resource rules,
-# following calls within each module) under the baseline ratchet in
-# lint-baseline.json.  Zero unbaselined findings required.
+# repro-lint: detlint's five CFG/dataflow determinism rules, one parse
+# and one pass per module (following calls within each module), under
+# the baseline ratchet in lint-baseline.json.  Zero unbaselined
+# findings required.
 lint:
 	$(PYTHON) -m repro.analysis.cli
 

@@ -14,7 +14,8 @@ The package provides:
 * :mod:`repro.core` — DIFFtotal, the study pipeline and the enhanced
   MFACT need-for-simulation predictor;
 * :mod:`repro.analysis` — ``tracelint`` static trace analysis (no
-  simulation needed) and ``srclint`` source-invariant linting;
+  simulation needed) and ``repro-lint``, the determinism linter over
+  the repo's own sources;
 * :mod:`repro.experiments` — one module per paper table/figure.
 
 Quickstart::

@@ -1,11 +1,10 @@
 """Per-function control-flow graphs over the Python AST.
 
-:mod:`repro.analysis.detlint` needs path-sensitive facts ("is this
-handle closed on *every* path out of the function?", "does this tainted
-value reach a sink on *some* path?") that a flat ``ast.walk`` cannot
-answer.  This module lowers one function body (or a module body) into a
-graph of basic blocks suitable for a worklist dataflow solver
-(:mod:`repro.analysis.dataflow`).
+:mod:`repro.analysis.detlint` needs path-sensitive facts ("does this
+tainted value reach a sink on *some* path?") that a flat ``ast.walk``
+cannot answer.  This module lowers one function body (or a module
+body) into a graph of basic blocks suitable for a worklist dataflow
+solver (:mod:`repro.analysis.dataflow`).
 
 Scope and limits — deliberately small:
 
@@ -41,11 +40,6 @@ __all__ = ["BasicBlock", "ControlFlowGraph", "build_cfg"]
 STMT = "stmt"
 EXPR = "expr"
 BIND = "bind"
-#: ``raise`` statements surface under their own kind so consumers (the
-#: interprocedural exception-flow analysis in
-#: :mod:`repro.analysis.summaries`) can enumerate live raise sites
-#: without re-walking the AST.  The payload is the ``ast.Raise`` node.
-RAISE = "raise"
 
 
 @dataclass
@@ -79,23 +73,6 @@ class ControlFlowGraph:
 
     def preds(self, bid: int) -> List[int]:
         return [b.bid for b in self.blocks if bid in b.succs]
-
-    def reachable(self) -> List[int]:
-        """Block ids reachable from the entry, in ascending order.
-
-        Statements after an ``if``/``else`` in which every branch
-        diverts still get lowered into a (predecessor-less) block;
-        analyses that must only see *live* code filter through this.
-        """
-        seen = {self.entry}
-        frontier = [self.entry]
-        while frontier:
-            bid = frontier.pop()
-            for succ in self.blocks[bid].succs:
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-        return sorted(seen)
 
 
 class _Builder:
@@ -141,12 +118,8 @@ class _Builder:
             return self._with(stmt, cur)
         if isinstance(stmt, ast.Try):
             return self._try(stmt, cur)
-        if isinstance(stmt, ast.Return):
+        if isinstance(stmt, (ast.Return, ast.Raise)):
             self.cfg.blocks[cur].actions.append((STMT, stmt))
-            self._divert(cur)
-            return None
-        if isinstance(stmt, ast.Raise):
-            self.cfg.blocks[cur].actions.append((RAISE, stmt))
             self._divert(cur)
             return None
         if isinstance(stmt, ast.Break):

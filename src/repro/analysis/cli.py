@@ -1,18 +1,11 @@
-"""``repro-lint`` — every analysis layer in one pass.
+"""``repro-lint`` — the one lint entry point.
 
-Runs srclint and detlint over each Python module under the given roots,
-one module at a time, and tracelint over any trace files given, merging
-everything into one :class:`~repro.analysis.diagnostics.LintReport`
-with one exit code (0 clean / 1 worst-is-warning / 2 worst-is-error,
-matching :class:`~repro.analysis.diagnostics.Severity`).
-
-detlint's summaries follow calls between functions of one module.  Two
-name-based srclint rules are folded onto the summary-based detlint
-rules that supersede them: ``src/unseeded-rng`` onto
-``det/seed-provenance`` (provenance sees through aliases and wrapper
-helpers) and ``src/error-swallow`` onto ``exc/escape`` (a broad handler
-is only a finding when a swallowed exception is *proven*).  Both still
-fire when srclint runs standalone (``python -m repro.analysis.srclint``).
+Runs detlint (:mod:`repro.analysis.detlint`) over each Python module
+under the given roots, one parse and one pass per module, and tracelint
+over any trace files given, merging everything into one
+:class:`~repro.analysis.diagnostics.LintReport` with one exit code
+(0 clean / 1 worst-is-warning / 2 worst-is-error, matching
+:class:`~repro.analysis.diagnostics.Severity`).
 
 The source layers pass through the baseline ratchet
 (:mod:`repro.analysis.baseline`): findings within the checked-in
@@ -44,18 +37,14 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Set, Tuple
 
-from repro.analysis import detlint, srclint
+from repro.analysis import detlint
 from repro.analysis.baseline import Baseline, BaselineResult, canonical_path
 from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
 
-__all__ = ["main", "run_lint", "lint_module", "changed_paths"]
+__all__ = ["main", "run_lint", "changed_paths"]
 
 #: Default baseline file, resolved against the working directory.
 DEFAULT_BASELINE = "lint-baseline.json"
-
-#: srclint rules superseded by summary-based detlint rules in this pass
-#: (srclint standalone keeps them).
-FOLDED_SRC_RULES = frozenset({"src/unseeded-rng", "src/error-swallow"})
 
 _TRACE_SUFFIXES = (".dmp", ".bin", ".trace")
 
@@ -88,17 +77,6 @@ def _python_files(roots: List[Path]) -> List[Path]:
         found = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         files.extend(p for p in found if "__pycache__" not in p.parts)
     return list(dict.fromkeys(files))
-
-
-def lint_module(source: str, rel: str) -> List[Diagnostic]:
-    """srclint (folded rules dropped) + detlint over one module."""
-    diags = [
-        d for d in srclint.lint_source(source, rel)
-        if d.rule not in FOLDED_SRC_RULES
-    ]
-    diags.extend(detlint.lint_source(source, rel))
-    diags.sort(key=lambda d: (d.location, d.rule, d.message))
-    return diags
 
 
 def _lint_trace_file(path: Path) -> List[Diagnostic]:
@@ -181,7 +159,9 @@ def run_lint(
 
     source_diags: List[Diagnostic] = []
     for path in _python_files(py_paths):
-        source_diags.extend(lint_module(path.read_text(), path.as_posix()))
+        source_diags.extend(
+            detlint.lint_source(path.read_text(), path.as_posix())
+        )
     subjects = [str(p) for p in py_paths]
 
     result: Optional[BaselineResult] = None
@@ -204,8 +184,8 @@ def run_lint(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Unified srclint + detlint + tracelint pass under "
-                    "a baseline ratchet.",
+        description="detlint over Python sources and tracelint over "
+                    "traces, under a baseline ratchet.",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,

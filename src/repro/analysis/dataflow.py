@@ -5,23 +5,18 @@ Two layers live here:
 * a generic worklist solver (:func:`solve_forward`) for monotone
   forward analyses whose environments are ``{name: frozenset(tags)}``
   maps joined by key-wise union — the substrate for every detlint rule;
-* module-level resolution helpers that answer "what is this top-level
-  name, really?" without running anything: classified module bindings
-  (:func:`module_bindings`), the set of functions reachable from a
-  worker-pool dispatch site (:func:`worker_functions`), and dispatch
-  tables assembled through aliasing / ``dict(...)`` copies / ``update``
-  calls rather than one literal (:func:`resolve_dict_tables`, used by
-  srclint's ``src/opkind-exhaustive`` rule).
+* name resolution that needs no execution: the module's import map
+  (:func:`import_map`) and the RNG provenance verdict of a call
+  (:func:`classify_rng_call`).
 
-Everything is intraprocedural and syntactic: no imports are followed,
-no values are evaluated.  The helpers over-approximate (an alias chain
-they cannot resolve yields "unknown", never a wrong answer).
+Everything is syntactic: no imports are followed, no values are
+evaluated.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.analysis.cfg import ControlFlowGraph
 
@@ -30,10 +25,6 @@ __all__ = [
     "dotted_name",
     "join_envs",
     "solve_forward",
-    "module_bindings",
-    "worker_functions",
-    "resolve_dict_tables",
-    "DictTable",
     "import_map",
     "resolve_dotted",
     "classify_rng_call",
@@ -173,8 +164,7 @@ def classify_rng_call(name: str, imap: Dict[str, str]) -> Optional[str]:
     ``name`` is the dotted call name as written; the import map lets
     aliased imports (``import random as r``, ``import numpy.random as
     nr``, ``from numpy.random import default_rng``) resolve to their
-    real modules, which is what the name-based srclint rule cannot do
-    for numpy.  Seeded wins over unseeded: anything reaching
+    real modules.  Seeded wins over unseeded: anything reaching
     ``repro.util.rng`` is the blessed path even though it constructs a
     raw generator internally.
     """
@@ -198,252 +188,3 @@ def classify_rng_call(name: str, imap: Dict[str, str]) -> Optional[str]:
     if tail in _UNSEEDED_CTOR_TAILS:
         return RNG_UNSEEDED
     return None
-
-
-# ----------------------------------------------------------------------
-# Module-level binding classification
-# ----------------------------------------------------------------------
-
-#: Classification labels for module-level names.
-MUTABLE = "mutable"
-RNG = "rng"
-HANDLE = "handle"
-IMPORT = "import"
-FUNCTION = "function"
-OTHER = "other"
-
-_MUTABLE_CTORS = {
-    "dict", "list", "set", "defaultdict", "deque", "Counter", "OrderedDict",
-}
-_RNG_CTORS = {"default_rng", "substream", "spawn", "Random", "RandomState"}
-
-
-def _call_tail(node: ast.Call) -> Optional[str]:
-    name = dotted_name(node.func)
-    return name.rsplit(".", 1)[-1] if name else None
-
-
-def module_bindings(tree: ast.Module) -> Dict[str, str]:
-    """Classify top-level names: mutable container, RNG, handle, import, ..."""
-    out: Dict[str, str] = {}
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            for item in stmt.names:
-                out[(item.asname or item.name).split(".", 1)[0]] = IMPORT
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out[stmt.name] = FUNCTION
-        elif isinstance(stmt, ast.ClassDef):
-            out[stmt.name] = OTHER
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            value = stmt.value
-            label = OTHER
-            if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
-                                  ast.ListComp, ast.SetComp)):
-                label = MUTABLE
-            elif isinstance(value, ast.Call):
-                tail = _call_tail(value)
-                if tail in _MUTABLE_CTORS:
-                    label = MUTABLE
-                elif tail in _RNG_CTORS:
-                    label = RNG
-                elif tail == "open":
-                    label = HANDLE
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    out[target.id] = label
-    return out
-
-
-# ----------------------------------------------------------------------
-# Worker-function discovery
-# ----------------------------------------------------------------------
-
-#: Call-name tails that dispatch a function into another process/thread.
-_DISPATCH_TAILS = {
-    "process", "submit", "apply_async", "map_async",
-    "imap", "imap_unordered", "starmap",
-}
-#: Substrings of call-name tails that mark an executor-style drive call.
-_DISPATCH_TOKENS = ("workerpool", "drive")
-#: Keyword names whose value is the dispatched function.
-_DISPATCH_KWARGS = {"target", "worker", "worker_fn", "fn", "func", "task_fn"}
-
-
-def _is_dispatch_call(node: ast.Call) -> bool:
-    tail = _call_tail(node)
-    if tail is None:
-        return False
-    low = tail.lower()
-    return low in _DISPATCH_TAILS or any(tok in low for tok in _DISPATCH_TOKENS)
-
-
-def worker_functions(tree: ast.Module) -> Set[str]:
-    """Module functions reachable from a worker-pool dispatch site.
-
-    Seeds: bare function names passed to ``WorkerPool(...)`` /
-    ``Process(target=...)`` / ``pool.submit(...)`` / ``_drive(...)``
-    style calls.  The set then closes over the intra-module call graph
-    (a worker that calls or forwards another module function pulls that
-    function into worker scope too).
-    """
-    functions = {
-        stmt.name: stmt
-        for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    seeds: Set[str] = set()
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and _is_dispatch_call(node)):
-            continue
-        candidates = list(node.args)
-        candidates += [kw.value for kw in node.keywords
-                       if kw.arg in _DISPATCH_KWARGS]
-        for arg in candidates:
-            if isinstance(arg, ast.Name) and arg.id in functions:
-                seeds.add(arg.id)
-
-    # Close over bare-name references inside worker bodies: both direct
-    # calls and functions forwarded as arguments run on the worker side.
-    reachable: Set[str] = set()
-    frontier = sorted(seeds)
-    while frontier:
-        name = frontier.pop()
-        if name in reachable:
-            continue
-        reachable.add(name)
-        for node in ast.walk(functions[name]):
-            if (isinstance(node, ast.Name) and node.id in functions
-                    and node.id not in reachable):
-                frontier.append(node.id)
-    return reachable
-
-
-# ----------------------------------------------------------------------
-# Dispatch-table resolution (module-level aliasing / dict() / update)
-# ----------------------------------------------------------------------
-
-class DictTable:
-    """Final key set of one module-level dispatch table."""
-
-    __slots__ = ("lineno", "keys", "valid")
-
-    def __init__(self, lineno: int, keys: Set[str], valid: bool = True) -> None:
-        self.lineno = lineno
-        self.keys = keys
-        self.valid = valid
-
-
-def _literal_info(
-    node: ast.Dict,
-    env: Dict[str, DictTable],
-    key_of: Callable[[ast.AST], Optional[str]],
-) -> Optional[Tuple[Set[str], bool]]:
-    """(keys, valid) of a dict literal, resolving ``**name`` spreads.
-
-    ``valid`` is False when any key is outside the tracked alphabet or
-    a spread cannot be resolved — such tables are never reported.
-    """
-    keys: Set[str] = set()
-    valid = True
-    for key, value in zip(node.keys, node.values):
-        if key is None:  # ``**spread``
-            spread = env.get(value.id) if isinstance(value, ast.Name) else None
-            if spread is None or not spread.valid:
-                valid = False
-            else:
-                keys |= spread.keys
-            continue
-        name = key_of(key)
-        if name is None:
-            valid = False
-        else:
-            keys.add(name)
-    return keys, valid
-
-
-def resolve_dict_tables(
-    tree: ast.Module,
-    key_of: Callable[[ast.AST], Optional[str]],
-) -> List[DictTable]:
-    """Final key sets of dispatch tables, through simple module-level flow.
-
-    ``key_of`` maps a key expression to its tracked name (for srclint:
-    ``OpKind.X`` → ``"X"``) or ``None`` for foreign keys.  Handles, in
-    statement order over the module body:
-
-    * ``T = {...}`` literals (including ``**other`` spreads),
-    * ``T = dict(OTHER)`` / ``T = dict({...})`` copies,
-    * ``ALIAS = T`` aliasing (both names share one table),
-    * ``T[Key.X] = v`` single-key additions,
-    * ``T.update({...})`` merges.
-
-    Dict literals anywhere else (function bodies, call arguments) come
-    back as standalone single-literal tables, so the caller sees every
-    table exactly once with its *final* keys.
-    """
-    env: Dict[str, DictTable] = {}
-    consumed: Set[int] = set()
-
-    def absorb_literal(node: ast.Dict) -> Optional[DictTable]:
-        info = _literal_info(node, env, key_of)
-        consumed.add(id(node))
-        keys, valid = info
-        return DictTable(node.lineno, keys, valid)
-
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-            if isinstance(target, ast.Name):
-                if isinstance(value, ast.Dict):
-                    table = absorb_literal(value)
-                    if table is not None:
-                        env[target.id] = table
-                elif (isinstance(value, ast.Call)
-                      and _call_tail(value) == "dict"
-                      and not value.keywords and len(value.args) == 1):
-                    arg = value.args[0]
-                    if isinstance(arg, ast.Name) and arg.id in env:
-                        src = env[arg.id]
-                        env[target.id] = DictTable(
-                            value.lineno, set(src.keys), src.valid
-                        )
-                    elif isinstance(arg, ast.Dict):
-                        table = absorb_literal(arg)
-                        if table is not None:
-                            env[target.id] = table
-                elif isinstance(value, ast.Name) and value.id in env:
-                    env[target.id] = env[value.id]  # alias: shared table
-            elif (isinstance(target, ast.Subscript)
-                  and isinstance(target.value, ast.Name)
-                  and target.value.id in env):
-                name = key_of(target.slice)
-                table = env[target.value.id]
-                if name is None:
-                    table.valid = False
-                else:
-                    table.keys.add(name)
-        elif (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
-              and isinstance(stmt.value.func, ast.Attribute)
-              and stmt.value.func.attr == "update"
-              and isinstance(stmt.value.func.value, ast.Name)
-              and stmt.value.func.value.id in env
-              and len(stmt.value.args) == 1
-              and isinstance(stmt.value.args[0], ast.Dict)):
-            table = env[stmt.value.func.value.id]
-            keys, valid = _literal_info(stmt.value.args[0], env, key_of)
-            consumed.add(id(stmt.value.args[0]))
-            table.keys |= keys
-            table.valid = table.valid and valid
-
-    tables: List[DictTable] = []
-    seen_ids: Set[int] = set()
-    for table in env.values():
-        if id(table) not in seen_ids:
-            seen_ids.add(id(table))
-            tables.append(table)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Dict) and id(node) not in consumed:
-            keys, valid = _literal_info(node, env, key_of)
-            tables.append(DictTable(node.lineno, keys, valid))
-    return tables

@@ -1,14 +1,12 @@
-"""Determinism, concurrency and resource linting over the repro sources.
+"""Determinism linting over the repro sources.
 
-srclint (:mod:`repro.analysis.srclint`) checks shapes a single AST node
-can prove; the rules here need *flow*: does a value born unordered (or
-from the wall clock, or from salted ``hash()``) reach a sink that is
-supposed to be deterministic?  Is module state written by code that
-runs in a forked worker?  Is a handle closed on every path out of a
-function?  Each function body is lowered to a CFG
-(:mod:`repro.analysis.cfg`) and a forward tag analysis
-(:mod:`repro.analysis.dataflow`) is run to a fixpoint before the rules
-fire.
+The canonical study records must be the same bytes on every run, so
+the rules here ask one flow question: does a value born unordered (or
+from the wall clock, from salted ``hash()``, from unseeded randomness)
+reach a sink that is supposed to be deterministic?  Each function body
+is lowered to a CFG (:mod:`repro.analysis.cfg`) and a forward tag
+analysis (:mod:`repro.analysis.dataflow`) is run to a fixpoint before
+the rules fire.
 
 Rules (flow follows calls between functions of one module through
 :mod:`repro.analysis.summaries`; see DESIGN.md for scope and limits):
@@ -26,30 +24,14 @@ Rules (flow follows calls between functions of one module through
     feeding ``to_json``/``dumps``, ``repro.util.fingerprint`` digests
     or cache keys.  Manifest entries are exempt — their ``walltime``
     fields are documented as nondeterministic.
-``det/obs-nondet-series``
-    ERROR when a wall-clock-derived value is recorded into an obs
-    series whose metric name is not in the walltime/seconds family;
-    the serial-vs-parallel obs gate compares every other series.
 ``det/builtin-hash``
     ERROR when a builtin ``hash()`` value (salted per process) reaches
     a persisted key or serialized output.
-``conc/global-mutation``
-    ERROR when a function dispatched through the worker pool
-    (``resilience.WorkerPool``, ``executor._drive``, ``Process``)
-    writes module-level state: the write happens in a forked child and
-    silently never reaches the parent.
-``conc/unpicklable-payload``
-    ERROR when a lambda, nested function, open handle or simulation
-    engine instance is dispatched across (or returned over) the worker
-    pipe — these fail to pickle at runtime, on the worker side, where
-    the traceback is least useful.
-``conc/fork-shared-state``
-    ERROR when a module-level RNG or file handle is used inside a
-    worker function: every fork clones the state, so workers draw
-    identical "random" streams or interleave writes on one descriptor.
-``res/open-no-close``
-    ERROR when ``open()`` is assigned outside a ``with`` block and some
-    path to the function exit neither closes nor hands off the handle.
+``det/seed-provenance``
+    ERROR at every construction or use of randomness not derived from
+    the spec seed through :mod:`repro.util.rng` (stdlib ``random``,
+    ``numpy.random``, ``os.urandom``, ``uuid4``, ``secrets``; aliased
+    imports resolve), and where such a value reaches a sink.
 ``conc/socket-no-timeout``
     ERROR when code under ``repro/serve/`` creates a socket —
     ``socket.socket(...)``, a ``create_connection(...)`` without a
@@ -57,39 +39,28 @@ Rules (flow follows calls between functions of one module through
     ``settimeout`` on it in the same function: a blocking socket with
     no deadline turns a lost peer into a hung service.
 
-Run standalone with ``python -m repro.analysis.detlint [path ...]`` or
-through the unified ``repro-lint`` CLI (:mod:`repro.analysis.cli`).
+Run through the ``repro-lint`` CLI (:mod:`repro.analysis.cli`).
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
 import re
-import sys
-from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import dataflow as df
-from repro.analysis.cfg import BIND, EXPR, RAISE, STMT, ControlFlowGraph, build_cfg
-from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
+from repro.analysis.cfg import BIND, EXPR, STMT, build_cfg
+from repro.analysis.diagnostics import Diagnostic, Severity
 
-__all__ = ["DETLINT_RULES", "SINK_CLASSES", "lint_source", "lint_paths", "main"]
+__all__ = ["DETLINT_RULES", "SINK_CLASSES", "lint_source"]
 
-#: Rule id -> one-line description (the README table is generated from this).
+#: Rule id -> one-line description (the README rule table mirrors this).
 DETLINT_RULES = {
     "det/unordered-iter": "set/unordered iteration order reaches ordered or serialized output",
     "det/wall-clock": "wall-clock reading flows into deterministic output",
-    "det/obs-nondet-series": "wall-clock value recorded in a deterministic obs series",
     "det/builtin-hash": "process-salted builtin hash() escapes into a persisted key",
     "det/seed-provenance": "randomness not derived from the spec seed via repro.util.rng",
-    "exc/escape": "broad handler provably swallows an exception callers would see",
-    "conc/global-mutation": "worker-dispatched function writes module-level state",
-    "conc/unpicklable-payload": "unpicklable value crosses the worker pipe",
-    "conc/fork-shared-state": "module-level RNG/file handle reused across fork",
     "conc/socket-no-timeout": "socket created without a timeout in repro.serve",
-    "res/open-no-close": "open() without with/close on every path",
 }
 
 # ----------------------------------------------------------------------
@@ -100,8 +71,6 @@ UNORDERED = "unordered"      # set-typed value / unsorted directory listing
 ORDER_DEP = "order-dep"      # ordered container capturing an unordered order
 WALLCLOCK = "wallclock"      # derived from the wall clock
 PYHASH = "pyhash"            # derived from builtin hash()
-UNPICKLABLE = "unpicklable"  # lambda / engine / handle: fails pickling
-HANDLE = "handle"            # open() file object
 DIGEST = "digest"            # hashlib digest object (update() is a sink)
 RNG_SEEDED = "rng-seeded"    # randomness derived from the spec seed
 RNG_UNSEEDED = "rng-unseeded"  # raw randomness outside repro.util.rng
@@ -196,26 +165,12 @@ _DIGEST_TAILS = frozenset({
     "sha1", "sha224", "sha256", "sha384", "sha512", "md5",
     "blake2b", "blake2s", "new",
 })
-#: Constructors whose instances refuse to pickle (EventEngine raises
-#: from __getstate__ by design; SimReplay holds one).
-_UNPICKLABLE_CTORS = frozenset({"EventEngine", "SimReplay"})
 _SANITIZERS = frozenset({"sorted", "min", "max", "sum", "len", "any", "all"})
 _SET_METHODS = frozenset({
     "union", "intersection", "difference", "symmetric_difference", "copy",
 })
 _CONTAINER_GROW = frozenset({
     "append", "add", "extend", "insert", "appendleft", "update", "setdefault",
-})
-_OBS_CTOR_TAILS = frozenset({"counter", "gauge", "histogram"})
-_OBS_RECORD_METHODS = frozenset({"inc", "dec", "observe", "set", "set_max"})
-_WALLTIME_SERIES = re.compile(r"walltime|seconds|duration", re.IGNORECASE)
-_MUTATOR_METHODS = frozenset({
-    "append", "add", "extend", "insert", "update", "setdefault",
-    "remove", "discard", "clear", "pop", "popitem",
-})
-_DISPATCH_PAYLOAD_TAILS = frozenset({
-    "dispatch", "submit", "apply_async", "map_async", "imap",
-    "imap_unordered", "starmap",
 })
 
 
@@ -281,12 +236,8 @@ class _FunctionAnalyzer:
     def __init__(
         self,
         body: Sequence[ast.stmt],
-        qualname: str,
-        bindings: Dict[str, str],
         initial: df.TagEnv,
-        is_worker: bool,
         warn_scope: bool,
-        params: Sequence[str] = (),
         imap: Optional[Dict[str, str]] = None,
         resolver=None,
         class_prefix: str = "",
@@ -294,13 +245,9 @@ class _FunctionAnalyzer:
         serve_scope: bool = False,
     ) -> None:
         self.body = list(body)
-        self.qualname = qualname
-        self.bindings = bindings
         self.initial = dict(initial)
-        self.is_worker = is_worker
         self.warn_scope = warn_scope
         self.serve_scope = serve_scope
-        self.params = list(params)
         self.imap = imap if imap is not None else {}
         self.resolver = resolver
         self.class_prefix = class_prefix
@@ -308,10 +255,6 @@ class _FunctionAnalyzer:
         self.collector = None
         #: tag -> witness call chain to its source, for diagnostics.
         self.origins: Dict[str, Tuple[str, ...]] = {}
-        self.local_defs = {
-            stmt.name for stmt in self.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
 
     # -- driver -------------------------------------------------------
 
@@ -340,19 +283,14 @@ class _FunctionAnalyzer:
             for tag, chain in self.origins.items():
                 collector.on_origin(tag, chain)
         self.collector = None
-        if findings is None:
-            return
-        self._open_close(cfg, findings)
-        if self.serve_scope:
+        if findings is not None and self.serve_scope:
             self._socket_timeouts(findings)
-        if self.is_worker:
-            self._worker_checks(findings)
 
     # -- taint transfer ----------------------------------------------
 
     def _action(self, action: tuple, env: df.TagEnv) -> None:
         kind = action[0]
-        if kind == STMT or kind == RAISE:
+        if kind == STMT:
             self._stmt(action[1], env)
         elif kind == EXPR:
             self._eval(action[1], env)
@@ -366,7 +304,7 @@ class _FunctionAnalyzer:
                 self._bind(target, frozenset(bound), env)
             elif how == "with":
                 if target is not None:
-                    self._bind(target, tags - {HANDLE, UNPICKLABLE}, env)
+                    self._bind(target, tags, env)
             else:  # except
                 if target is not None:
                     self._bind(target, _EMPTY, env)
@@ -390,16 +328,7 @@ class _FunctionAnalyzer:
             tags = self._eval(node.value, env)
             if self.collector is not None:
                 self.collector.on_return(tags)
-            if self.is_worker and tags & {UNPICKLABLE, HANDLE}:
-                self._emit(
-                    "conc/unpicklable-payload", Severity.ERROR,
-                    f"worker function {self.qualname}() returns an "
-                    "unpicklable value over the worker pipe",
-                    node.lineno,
-                    "return plain data (tuples/dicts/dataclass fields); "
-                    "engines and handles cannot cross process boundaries",
-                )
-        elif isinstance(node, (ast.Raise,)) and node.exc is not None:
+        elif isinstance(node, ast.Raise) and node.exc is not None:
             self._eval(node.exc, env)
         elif isinstance(node, ast.Assert):
             self._eval(node.test, env)
@@ -490,8 +419,6 @@ class _FunctionAnalyzer:
             return tags
         if isinstance(node, ast.FormattedValue):
             return self._eval(node.value, env, order_ok)
-        if isinstance(node, ast.Lambda):
-            return frozenset({UNPICKLABLE})
         if isinstance(node, ast.Await):
             return self._eval(node.value, env, order_ok)
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
@@ -590,7 +517,6 @@ class _FunctionAnalyzer:
             if not self.rng_exempt:
                 self.origins.setdefault(RNG_UNSEEDED, (f"{name}()",))
                 if self.collector is not None:
-                    self.collector.on_rng_site(node.lineno, name)
                     self.collector.on_nondet(frozenset({"rng-unseeded"}))
                 self._emit(
                     "det/seed-provenance", Severity.ERROR,
@@ -606,10 +532,6 @@ class _FunctionAnalyzer:
             if self.collector is not None:
                 self.collector.on_nondet(frozenset({"pyhash"}))
             return frozenset({PYHASH})
-        if name == "open" or (name is not None and name.endswith(".open")):
-            return frozenset({HANDLE, UNPICKLABLE})
-        if tail in _UNPICKLABLE_CTORS:
-            return frozenset({UNPICKLABLE})
         if tail in _DIGEST_TAILS and name is not None and (
                 name.startswith("hashlib.") or name in _DIGEST_TAILS):
             return frozenset({DIGEST})
@@ -649,7 +571,7 @@ class _FunctionAnalyzer:
             return _propagate(arg_tags)
 
         # -- sinks ----------------------------------------------------
-        self._check_sinks(node, func, arg_tags, base_tags, env)
+        self._check_sinks(node, func, arg_tags, base_tags)
 
         # -- resolved calls: apply the callee's summary ---------------
         if self.resolver is not None:
@@ -737,8 +659,8 @@ class _FunctionAnalyzer:
         return frozenset(ret)
 
     def _check_sinks(self, node: ast.Call, func: ast.AST,
-                     arg_tags: FrozenSet[str], base_tags: FrozenSet[str],
-                     env: df.TagEnv) -> None:
+                     arg_tags: FrozenSet[str],
+                     base_tags: FrozenSet[str]) -> None:
         line = node.lineno
 
         # hashlib digest.update(...) — the canonical fingerprint sink.
@@ -799,53 +721,6 @@ class _FunctionAnalyzer:
                         parsed[0], parsed[1], sink, line, ()
                     )
 
-        # obs deterministic-series sink: instrument(...).inc/observe/...
-        if (isinstance(func, ast.Attribute)
-                and func.attr in _OBS_RECORD_METHODS
-                and isinstance(func.value, ast.Call)):
-            ctor_tail = _tail_of(func.value.func)
-            if ctor_tail in _OBS_CTOR_TAILS and WALLCLOCK in arg_tags:
-                metric = None
-                if func.value.args and isinstance(func.value.args[0], ast.Constant):
-                    metric = func.value.args[0].value
-                if isinstance(metric, str) and not _WALLTIME_SERIES.search(metric):
-                    self._emit(
-                        "det/obs-nondet-series", Severity.ERROR,
-                        f"wall-clock-derived value recorded in deterministic "
-                        f"series {metric!r}",
-                        line,
-                        "name walltime-derived series with a walltime/"
-                        "seconds suffix, or record a deterministic quantity",
-                    )
-
-        # worker-pool payload sink.
-        tail = _tail_of(func)
-        low_tail = (tail or "").lower()
-        is_dispatch = (
-            low_tail in _DISPATCH_PAYLOAD_TAILS
-            or "workerpool" in low_tail
-            or low_tail == "process"
-        )
-        if is_dispatch:
-            payloads = list(node.args) + [kw.value for kw in node.keywords]
-            for arg in payloads:
-                reason = None
-                if isinstance(arg, ast.Lambda):
-                    reason = "a lambda"
-                elif isinstance(arg, ast.Name) and arg.id in self.local_defs:
-                    reason = f"nested function {arg.id}()"
-                elif self._eval(arg, env) & {UNPICKLABLE, HANDLE}:
-                    reason = "an unpicklable value (engine or open handle)"
-                if reason is not None:
-                    self._emit(
-                        "conc/unpicklable-payload", Severity.ERROR,
-                        f"{reason} is dispatched across the worker pipe "
-                        f"via {tail}()",
-                        line,
-                        "dispatch module-level functions and plain-data "
-                        "payloads; rebuild engines/handles inside the worker",
-                    )
-
     def _emit(self, rule: str, severity: Severity, message: str,
               lineno: int, hint: str) -> None:
         if self._findings is not None:
@@ -868,65 +743,6 @@ class _FunctionAnalyzer:
                 return not (isinstance(kw.value, ast.Constant)
                             and kw.value.value is False)
         return False
-
-    # -- open()/close() path analysis ---------------------------------
-
-    def _open_close(self, cfg: ControlFlowGraph, findings: _Findings) -> None:
-        sites: Dict[str, int] = {}
-        for block in cfg.blocks:
-            for action in block.actions:
-                if action[0] != STMT:
-                    continue
-                stmt = action[1]
-                if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                        and isinstance(stmt.targets[0], ast.Name)
-                        and self._is_open_call(stmt.value)):
-                    sites.setdefault(stmt.targets[0].id, stmt.lineno)
-        tracked = {name for name in sites if name not in self._escaped_names()}
-        if not tracked:
-            return
-
-        def transfer(bid: int, env: df.TagEnv) -> df.TagEnv:
-            env = dict(env)
-            for action in cfg.blocks[bid].actions:
-                if action[0] != STMT:
-                    continue
-                stmt = action[1]
-                if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                        and isinstance(stmt.targets[0], ast.Name)
-                        and stmt.targets[0].id in tracked):
-                    opened = self._is_open_call(stmt.value)
-                    env[stmt.targets[0].id] = frozenset(
-                        {"open"} if opened else {"closed"}
-                    )
-                    continue
-                for sub in ast.walk(stmt):
-                    if (isinstance(sub, ast.Call)
-                            and isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr == "close"
-                            and isinstance(sub.func.value, ast.Name)
-                            and sub.func.value.id in tracked):
-                        env[sub.func.value.id] = frozenset({"closed"})
-            return env
-
-        exit_env = df.solve_forward(cfg, transfer, {}).get(cfg.exit, {})
-        for name in sorted(tracked):
-            if "open" in exit_env.get(name, _EMPTY):
-                findings.emit(
-                    "res/open-no-close", Severity.ERROR,
-                    f"file handle {name!r} is not closed on every path out "
-                    "of this function",
-                    sites[name],
-                    "use a with block, or close the handle in a finally "
-                    "suite",
-                )
-
-    @staticmethod
-    def _is_open_call(node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        name = df.dotted_name(node.func)
-        return name == "open" or (name is not None and name.endswith(".open"))
 
     # -- socket timeout discipline (repro.serve only) ------------------
 
@@ -991,116 +807,6 @@ class _FunctionAnalyzer:
                 and node.func.attr == "accept"
                 and not node.args and not node.keywords)
 
-    def _escaped_names(self) -> Set[str]:
-        """Handle vars whose ownership leaves the function (no close here)."""
-        out: Set[str] = set()
-        for stmt in self.body:
-            for node in ast.walk(stmt):
-                value = None
-                if isinstance(node, ast.Return):
-                    value = node.value
-                elif isinstance(node, (ast.Yield, ast.YieldFrom)):
-                    value = node.value
-                elif isinstance(node, ast.Assign) and any(
-                    isinstance(t, (ast.Attribute, ast.Subscript))
-                    for t in node.targets
-                ):
-                    value = node.value
-                if value is None:
-                    continue
-                elts = (value.elts
-                        if isinstance(value, (ast.Tuple, ast.List))
-                        else [value])
-                for elt in elts:
-                    if isinstance(elt, ast.Name):
-                        out.add(elt.id)
-        return out
-
-    # -- worker-side syntactic rules ----------------------------------
-
-    def _local_names(self) -> Set[str]:
-        out = set(self.params)
-        for stmt in self.body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(
-                        node.ctx, ast.Store):
-                    out.add(node.id)
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef)):
-                    out.add(node.name)
-                elif isinstance(node, ast.ExceptHandler) and node.name:
-                    out.add(node.name)
-        return out
-
-    def _worker_checks(self, findings: _Findings) -> None:
-        locals_ = self._local_names()
-        declared_global: Set[str] = set()
-        for stmt in self.body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Global):
-                    declared_global.update(node.names)
-
-        def module_head(target: ast.AST) -> Optional[str]:
-            head = _head_name(target)
-            if head is None or head in locals_ or head not in self.bindings:
-                return None
-            return head
-
-        hint_mut = ("return the data to the parent instead; a forked "
-                    "worker's memory is discarded when it exits")
-        for stmt in self.body:
-            for node in ast.walk(stmt):
-                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                    targets = (node.targets if isinstance(node, ast.Assign)
-                               else [node.target])
-                    for target in targets:
-                        if (isinstance(target, ast.Name)
-                                and target.id in declared_global):
-                            findings.emit(
-                                "conc/global-mutation", Severity.ERROR,
-                                f"worker function {self.qualname}() assigns "
-                                f"module-level name {target.id!r}",
-                                node.lineno, hint_mut,
-                            )
-                        elif isinstance(target, (ast.Attribute, ast.Subscript)):
-                            head = module_head(target)
-                            if head is not None and self.bindings[head] not in (
-                                    df.FUNCTION,):
-                                findings.emit(
-                                    "conc/global-mutation", Severity.ERROR,
-                                    f"worker function {self.qualname}() "
-                                    f"writes module-level state through "
-                                    f"{head!r}",
-                                    node.lineno, hint_mut,
-                                )
-                elif (isinstance(node, ast.Call)
-                      and isinstance(node.func, ast.Attribute)
-                      and node.func.attr in _MUTATOR_METHODS):
-                    head = module_head(node.func.value)
-                    if head is not None and self.bindings[head] not in (
-                            df.FUNCTION, df.IMPORT):
-                        findings.emit(
-                            "conc/global-mutation", Severity.ERROR,
-                            f"worker function {self.qualname}() mutates "
-                            f"module-level container {head!r} via "
-                            f".{node.func.attr}()",
-                            node.lineno, hint_mut,
-                        )
-                elif isinstance(node, ast.Name) and isinstance(
-                        node.ctx, ast.Load):
-                    label = self.bindings.get(node.id)
-                    if label in (df.RNG, df.HANDLE) and node.id not in locals_:
-                        what = ("RNG" if label == df.RNG else "file handle")
-                        findings.emit(
-                            "conc/fork-shared-state", Severity.ERROR,
-                            f"module-level {what} {node.id!r} is used inside "
-                            f"worker function {self.qualname}(); every fork "
-                            "clones its state",
-                            node.lineno,
-                            "construct the RNG/handle inside the worker from "
-                            "an explicit seed or path",
-                        )
-
 
 # ----------------------------------------------------------------------
 # Module driver
@@ -1164,9 +870,9 @@ def lint_source(source: str, rel: str = "<string>") -> List[Diagnostic]:
     Per-function summaries (:mod:`repro.analysis.summaries`) are
     computed for the module first, so flows that cross calls between
     its functions are seen; calls into other modules are not resolved.
+    A module that does not parse yields one ``det/syntax`` ERROR.
     """
     from repro.analysis import summaries as sm
-    from repro.analysis.srclint import _SWALLOW_SCOPE
 
     try:
         tree = ast.parse(source, filename=rel)
@@ -1181,22 +887,16 @@ def lint_source(source: str, rel: str = "<string>") -> List[Diagnostic]:
     summaries = sm.compute_module_summaries(tree, rel)
     imap = df.import_map(tree)
     resolver = sm.CallResolver(summaries)
-    bindings = df.module_bindings(tree)
-    workers = df.worker_functions(tree)
     module_sets = _module_set_bindings(tree)
     warn_scope = bool(_WARN_SCOPE.search(rel))
     serve_scope = bool(_SERVE_SCOPE.search(rel))
     rng_exempt = rel.endswith("util/rng.py")
     findings = _Findings(rel)
-    for qualname, fn, class_prefix in _functions(tree):
+    for _, fn, class_prefix in _functions(tree):
         _FunctionAnalyzer(
             fn.body,
-            qualname,
-            bindings,
             module_sets,
-            is_worker=qualname in workers,
             warn_scope=warn_scope,
-            params=_param_names(fn),
             imap=imap,
             resolver=resolver,
             class_prefix=class_prefix,
@@ -1204,65 +904,9 @@ def lint_source(source: str, rel: str = "<string>") -> List[Diagnostic]:
             serve_scope=serve_scope,
         ).run(findings)
     _FunctionAnalyzer(
-        tree.body, "<module>", bindings, {},
-        is_worker=False, warn_scope=warn_scope,
+        tree.body, {}, warn_scope=warn_scope,
         imap=imap, resolver=resolver, rng_exempt=rng_exempt,
         serve_scope=serve_scope,
     ).run(findings)
-    # exc/escape: summary-proven swallows in measurement-critical code.
-    if _SWALLOW_SCOPE.search(rel):
-        for qual in sorted(summaries):
-            for sw in summaries[qual].swallows:
-                where = (f"{qual}()" if qual != sm.MODULE_BODY
-                         else "the module body")
-                via = f" raised via {' -> '.join(sw.via)}" if sw.via else ""
-                findings.emit(
-                    "exc/escape", Severity.ERROR,
-                    f"broad handler ({sw.caught}) in {where} swallows "
-                    f"proven {', '.join(sw.types)}{via}",
-                    sw.line,
-                    "re-raise, or turn the failure into a structured "
-                    "record callers can see",
-                )
     findings.diags.sort(key=lambda d: (d.location, d.rule, d.message))
     return findings.diags
-
-
-def lint_paths(paths: Optional[Sequence[Path]] = None) -> LintReport:
-    """Lint every ``*.py`` under ``paths`` (default: the repro package)."""
-    if paths:
-        roots = [Path(p) for p in paths]
-    else:
-        import repro
-
-        roots = [Path(repro.__file__).resolve().parent]
-    report = LintReport(subject=", ".join(str(r) for r in roots))
-    for root in roots:
-        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
-        for path in files:
-            if "__pycache__" in path.parts:
-                continue
-            report.extend(lint_source(path.read_text(), path.as_posix()))
-    return report
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.analysis.detlint",
-        description="CFG/dataflow determinism and concurrency linting.",
-    )
-    parser.add_argument("paths", nargs="*", type=Path,
-                        help="files or directories (default: the repro package)")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit the report as JSON")
-    args = parser.parse_args(argv)
-    report = lint_paths(args.paths or None)
-    if args.as_json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report.render())
-    return report.exit_code()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

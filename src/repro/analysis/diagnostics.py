@@ -1,8 +1,8 @@
 """Typed diagnostics shared by trace lint, source lint, and corpus audit.
 
 Every analysis layer in :mod:`repro.analysis` — the trace-level static
-analyzer (:mod:`repro.analysis.lint`), the source-level invariant
-linter (:mod:`repro.analysis.srclint`) and the corpus health audit
+analyzer (:mod:`repro.analysis.lint`), the source-level determinism
+linter (:mod:`repro.analysis.detlint`) and the corpus health audit
 (:mod:`repro.workloads.audit`) — reports through one record type so
 findings can be merged, filtered, serialized and rendered uniformly.
 """

@@ -14,11 +14,7 @@ strongly connected components of the module's call graph:
 * which parameters reach a persisting sink inside the function or its
   callees (``param_sinks``) — a caller handing a tainted value to such
   a parameter is as guilty as one calling the sink directly;
-* which exception types can *provably* escape (``escapes``) and which
-  broad handlers provably swallow a proven raise (``swallows``) — the
-  substrate for the ``exc/escape`` rule;
-* where unseeded randomness is constructed or used (``rng_sites``) and
-  a transitive nondeterminism verdict (``nondet``; empty means the
+* a transitive nondeterminism verdict (``nondet``; empty means the
   function is deterministic as far as the analysis can see).
 
 Summaries are plain data and compare by value, so SCC fixpoints
@@ -43,11 +39,9 @@ from repro.analysis import dataflow as df
 
 __all__ = [
     "ParamSink",
-    "Swallow",
     "FunctionSummary",
     "CallResolver",
     "compute_module_summaries",
-    "collect_class_bases",
     "MODULE_BODY",
 ]
 
@@ -80,22 +74,6 @@ class ParamSink:
 
 
 @dataclass(frozen=True)
-class Swallow:
-    """A broad handler that provably swallows a proven raise.
-
-    ``caught`` is the broad name (``Exception``/``bare except``),
-    ``types`` the proven exception types absorbed, ``via`` the call
-    chain that raises them (empty for a raise in the ``try`` body
-    itself).
-    """
-
-    line: int
-    caught: str
-    types: Tuple[str, ...]
-    via: Tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class FunctionSummary:
     """Interprocedural facts about one function, as plain data."""
 
@@ -106,18 +84,7 @@ class FunctionSummary:
     return_symbols: FrozenSet[str] = frozenset()
     param_sinks: Tuple[ParamSink, ...] = ()
     origins: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
-    escapes: FrozenSet[str] = frozenset()
-    swallows: Tuple[Swallow, ...] = ()
-    rng_sites: Tuple[Tuple[int, str], ...] = ()
     nondet: FrozenSet[str] = frozenset()
-
-    @property
-    def deterministic(self) -> bool:
-        """True when no nondeterministic source reaches this function."""
-        return not self.nondet
-
-    def display(self) -> str:
-        return f"{self.qualname}()"
 
     def __hash__(self) -> int:
         return hash((self.module, self.qualname))
@@ -158,7 +125,6 @@ class SummaryBuilder:
         self.return_symbols: Set[str] = set()
         self.param_sinks: Set[ParamSink] = set()
         self.origins: Dict[str, Tuple[str, ...]] = {}
-        self.rng_sites: Set[Tuple[int, str]] = set()
         self.nondet: Set[str] = set()
 
     # Hook API called from detlint._FunctionAnalyzer -------------------
@@ -177,16 +143,12 @@ class SummaryBuilder:
     def on_origin(self, tag: str, chain: Tuple[str, ...]) -> None:
         self.origins.setdefault(tag, chain)
 
-    def on_rng_site(self, line: int, name: str) -> None:
-        self.rng_sites.add((line, name))
-
     def on_nondet(self, families: FrozenSet[str]) -> None:
         self.nondet.update(families)
 
     # -----------------------------------------------------------------
 
-    def build(self, escapes: FrozenSet[str],
-              swallows: Tuple[Swallow, ...]) -> FunctionSummary:
+    def build(self) -> FunctionSummary:
         return FunctionSummary(
             module=self.module,
             qualname=self.qualname,
@@ -198,9 +160,6 @@ class SummaryBuilder:
                 key=lambda s: (s.index, s.cls, s.sink, s.line, s.chain),
             )),
             origins=dict(self.origins),
-            escapes=escapes,
-            swallows=swallows,
-            rng_sites=tuple(sorted(self.rng_sites)),
             nondet=frozenset(self.nondet),
         )
 
@@ -235,267 +194,6 @@ class CallResolver:
             if qual in self.summaries:
                 return qual, self.summaries[qual], 1
         return None
-
-
-# ----------------------------------------------------------------------
-# Exception flow
-# ----------------------------------------------------------------------
-
-#: Builtin exception -> parent, for handler-matching without running
-#: anything.  Program-local ClassDef bases extend this map.
-_BUILTIN_PARENTS: Dict[str, str] = {
-    "ArithmeticError": "Exception",
-    "AssertionError": "Exception",
-    "AttributeError": "Exception",
-    "BlockingIOError": "OSError",
-    "BrokenPipeError": "ConnectionError",
-    "BufferError": "Exception",
-    "ChildProcessError": "OSError",
-    "ConnectionAbortedError": "ConnectionError",
-    "ConnectionError": "OSError",
-    "ConnectionRefusedError": "ConnectionError",
-    "ConnectionResetError": "ConnectionError",
-    "EOFError": "Exception",
-    "EnvironmentError": "OSError",
-    "FileExistsError": "OSError",
-    "FileNotFoundError": "OSError",
-    "FloatingPointError": "ArithmeticError",
-    "IOError": "OSError",
-    "ImportError": "Exception",
-    "IndentationError": "SyntaxError",
-    "IndexError": "LookupError",
-    "InterruptedError": "OSError",
-    "IsADirectoryError": "OSError",
-    "KeyError": "LookupError",
-    "KeyboardInterrupt": "BaseException",
-    "LookupError": "Exception",
-    "MemoryError": "Exception",
-    "ModuleNotFoundError": "ImportError",
-    "NameError": "Exception",
-    "NotADirectoryError": "OSError",
-    "NotImplementedError": "RuntimeError",
-    "OSError": "Exception",
-    "OverflowError": "ArithmeticError",
-    "PermissionError": "OSError",
-    "ProcessLookupError": "OSError",
-    "RecursionError": "RuntimeError",
-    "ReferenceError": "Exception",
-    "RuntimeError": "Exception",
-    "StopAsyncIteration": "Exception",
-    "StopIteration": "Exception",
-    "SyntaxError": "Exception",
-    "SystemError": "Exception",
-    "SystemExit": "BaseException",
-    "TabError": "IndentationError",
-    "TimeoutError": "OSError",
-    "TypeError": "Exception",
-    "UnboundLocalError": "NameError",
-    "UnicodeDecodeError": "UnicodeError",
-    "UnicodeEncodeError": "UnicodeError",
-    "UnicodeError": "ValueError",
-    "UnicodeTranslateError": "UnicodeError",
-    "ValueError": "Exception",
-    "ZeroDivisionError": "ArithmeticError",
-}
-
-_BROAD = ("Exception", "BaseException")
-
-#: Proven raise of an unknown type (``raise exc``): caught only by
-#: broad handlers, dropped (unproven) at narrow ones.
-_UNKNOWN = "?"
-
-
-def collect_class_bases(tree: ast.Module) -> Dict[str, str]:
-    """``{class name: first base tail name}`` for every ClassDef."""
-    out: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.bases:
-            base = df.dotted_name(node.bases[0])
-            if base is not None:
-                out[node.name] = base.rsplit(".", 1)[-1]
-    return out
-
-
-def _ancestry(name: str, class_bases: Mapping[str, str]) -> List[str]:
-    chain = [name]
-    seen = {name}
-    while True:
-        parent = class_bases.get(chain[-1], _BUILTIN_PARENTS.get(chain[-1]))
-        if parent is None or parent in seen:
-            return chain
-        chain.append(parent)
-        seen.add(parent)
-
-
-def _handler_names(handler: ast.ExceptHandler) -> Tuple[str, ...]:
-    """Caught type tails; empty tuple means a bare (catch-all) handler."""
-    if handler.type is None:
-        return ()
-    nodes = (handler.type.elts if isinstance(handler.type, ast.Tuple)
-             else [handler.type])
-    names = []
-    for node in nodes:
-        name = df.dotted_name(node)
-        if name is not None:
-            names.append(name.rsplit(".", 1)[-1])
-    return tuple(names) if names else ("<unresolved>",)
-
-
-def _catches(handler: ast.ExceptHandler, exc: str,
-             class_bases: Mapping[str, str]) -> Optional[bool]:
-    """Does this handler catch ``exc``?  None when unprovable."""
-    names = _handler_names(handler)
-    if not names or any(n in _BROAD for n in names):
-        return True
-    if exc == _UNKNOWN:
-        return None
-    ancestry = _ancestry(exc, class_bases)
-    if any(n in ancestry for n in names):
-        return True
-    if ancestry[-1] in _BROAD or ancestry[-1] in _BUILTIN_PARENTS:
-        # Fully known ancestry that misses every handler name.
-        return False
-    return None  # custom type with unknown bases: unprovable
-
-
-class _ExceptionWalker:
-    """Proven escapes and broad-handler swallows for one function body.
-
-    Explicit ``raise`` statements, ``assert`` statements and the
-    summarized escapes of resolved callees are the only raise sources;
-    implicit exceptions (KeyError from a subscript, attribute errors)
-    are not modeled, which keeps every reported escape a *proof*.
-    """
-
-    def __init__(
-        self,
-        resolver: Optional[CallResolver],
-        class_prefix: str,
-        class_bases: Mapping[str, str],
-    ) -> None:
-        self.resolver = resolver
-        self.class_prefix = class_prefix
-        self.class_bases = class_bases
-        self.escapes: Set[str] = set()
-        #: handler id -> absorbed [(exc, via chain)]
-        self.absorbed: Dict[int, List[Tuple[str, Tuple[str, ...]]]] = {}
-        self.handlers: Dict[int, ast.ExceptHandler] = {}
-
-    # -- raise routing ------------------------------------------------
-
-    def _raise(self, exc: str, via: Tuple[str, ...],
-               stack: List[List[ast.ExceptHandler]]) -> None:
-        for level in reversed(stack):
-            for handler in level:
-                verdict = _catches(handler, exc, self.class_bases)
-                if verdict is True:
-                    hid = id(handler)
-                    self.handlers[hid] = handler
-                    self.absorbed.setdefault(hid, []).append((exc, via))
-                    return
-                if verdict is None:
-                    return  # unprovable either way: drop
-        self.escapes.add(exc)
-
-    def _call_escapes(self, call: ast.Call,
-                      stack: List[List[ast.ExceptHandler]]) -> None:
-        if self.resolver is None:
-            return
-        resolved = self.resolver.resolve(call, self.class_prefix)
-        if resolved is None:
-            return
-        display, summary, _ = resolved
-        for exc in sorted(summary.escapes):
-            self._raise(exc, (f"{display}()",), stack)
-
-    def _scan_calls(self, node: ast.AST,
-                    stack: List[List[ast.ExceptHandler]]) -> None:
-        """Calls inside one statement's expressions (not nested defs)."""
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef, ast.Lambda)):
-                continue
-            if isinstance(child, ast.Call):
-                self._call_escapes(child, stack)
-            self._scan_calls(child, stack)
-
-    # -- statement walk -----------------------------------------------
-
-    def walk(self, stmts: Sequence[ast.stmt],
-             stack: Optional[List[List[ast.ExceptHandler]]] = None,
-             current: Optional[ast.ExceptHandler] = None) -> None:
-        stack = stack if stack is not None else []
-        for stmt in stmts:
-            if isinstance(stmt, ast.Raise):
-                if stmt.exc is None:
-                    # Bare re-raise: propagates whatever the enclosing
-                    # handler caught outward.
-                    if current is not None:
-                        names = _handler_names(current) or (_UNKNOWN,)
-                        for name in names:
-                            exc = (_UNKNOWN if name in _BROAD
-                                   or name == "<unresolved>" else name)
-                            self._raise(exc, (), stack)
-                else:
-                    name = df.dotted_name(
-                        stmt.exc.func if isinstance(stmt.exc, ast.Call)
-                        else stmt.exc
-                    )
-                    exc = name.rsplit(".", 1)[-1] if name else _UNKNOWN
-                    self._scan_calls(stmt, stack)
-                    self._raise(exc, (), stack)
-                continue
-            if isinstance(stmt, ast.Assert):
-                self._scan_calls(stmt, stack)
-                self._raise("AssertionError", (), stack)
-                continue
-            if isinstance(stmt, ast.Try):
-                inner = stack + [list(stmt.handlers)]
-                self.walk(stmt.body, inner, current)
-                self.walk(stmt.orelse, inner, current)
-                for handler in stmt.handlers:
-                    self.walk(handler.body, stack, handler)
-                self.walk(stmt.finalbody, stack, current)
-                continue
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue  # raises inside nested defs escape when *called*
-            self._scan_calls(stmt, stack)
-            for attr in ("body", "orelse", "finalbody"):
-                sub = getattr(stmt, attr, None)
-                if sub:
-                    self.walk(sub, stack, current)
-
-
-def function_exceptions(
-    body: Sequence[ast.stmt],
-    resolver: Optional[CallResolver],
-    class_prefix: str,
-    class_bases: Mapping[str, str],
-) -> Tuple[FrozenSet[str], Tuple[Swallow, ...]]:
-    """(proven escapes, broad-handler swallows) for one function body."""
-    from repro.analysis.srclint import (
-        _broad_handler_type,
-        _handler_records_failure,
-    )
-
-    walker = _ExceptionWalker(resolver, class_prefix, class_bases)
-    walker.walk(list(body))
-    swallows: List[Swallow] = []
-    for hid, absorbed in walker.absorbed.items():
-        handler = walker.handlers[hid]
-        caught = _broad_handler_type(handler)
-        if caught is None or _handler_records_failure(handler):
-            continue
-        types = tuple(sorted({
-            ("exception" if exc == _UNKNOWN else exc)
-            for exc, _ in absorbed
-        }))
-        vias = tuple(sorted({via for _, via in absorbed if via}))
-        via = vias[0] if vias else ()
-        swallows.append(Swallow(handler.lineno, caught, types, via))
-    swallows.sort(key=lambda s: (s.line, s.caught))
-    return frozenset(walker.escapes), tuple(swallows)
 
 
 # ----------------------------------------------------------------------
@@ -599,10 +297,7 @@ def compute_module_summaries(
 
     imap = df.import_map(tree, package=module.rsplit(".", 1)[0]
                          if "." in module else "")
-    bindings = df.module_bindings(tree)
-    workers = df.worker_functions(tree)
     module_sets = detlint._module_set_bindings(tree)
-    bases = collect_class_bases(tree)
     rng_exempt = rel.endswith("util/rng.py")
 
     functions: Dict[str, Tuple[ast.AST, str]] = {
@@ -623,22 +318,15 @@ def compute_module_summaries(
             )
         analyzer = detlint._FunctionAnalyzer(
             node.body,
-            qual,
-            bindings,
             initial,
-            is_worker=qual in workers,
             warn_scope=False,
-            params=params,
             imap=imap,
             resolver=resolver,
             class_prefix=class_prefix,
             rng_exempt=rng_exempt,
         )
         analyzer.run(findings=None, collector=builder)
-        escapes, swallows = function_exceptions(
-            node.body, resolver, class_prefix, bases
-        )
-        return builder.build(escapes, swallows)
+        return builder.build()
 
     edges = _intra_edges(functions)
     for scc in _tarjan(list(functions), edges):
@@ -652,25 +340,16 @@ def compute_module_summaries(
             if not changed:
                 break
 
-    # Module body: rng sites and sinks at import/definition time.
+    # Module body: sources and sinks at import/definition time.
     body_builder = SummaryBuilder(module, MODULE_BODY, ())
     body_analyzer = detlint._FunctionAnalyzer(
         tree.body,
-        MODULE_BODY,
-        bindings,
         {},
-        is_worker=False,
         warn_scope=False,
         imap=imap,
         resolver=resolver,
         rng_exempt=rng_exempt,
     )
     body_analyzer.run(findings=None, collector=body_builder)
-    body_escapes, body_swallows = function_exceptions(
-        [s for s in tree.body
-         if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef))],
-        resolver, "", bases,
-    )
-    summaries[MODULE_BODY] = body_builder.build(body_escapes, body_swallows)
+    summaries[MODULE_BODY] = body_builder.build()
     return summaries

@@ -1,13 +1,9 @@
-"""Tests for the seeded known-bad corpus (repro.analysis.badcorpus)."""
+"""Tests for the seeded known-bad corpus (tests/badcorpus.py)."""
 
 import ast
 
-from repro.analysis.badcorpus import (
-    DEFECT_KINDS,
-    corpus_cases,
-    evaluate_corpus,
-)
 from repro.analysis.detlint import DETLINT_RULES
+from tests.badcorpus import DEFECT_KINDS, corpus_cases, evaluate_corpus
 
 
 class TestCorpusShape:

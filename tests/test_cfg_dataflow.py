@@ -4,20 +4,7 @@ import ast
 import textwrap
 
 from repro.analysis.cfg import BIND, EXPR, STMT, build_cfg
-from repro.analysis.dataflow import (
-    FUNCTION,
-    HANDLE,
-    IMPORT,
-    MUTABLE,
-    OTHER,
-    RNG,
-    dotted_name,
-    join_envs,
-    module_bindings,
-    resolve_dict_tables,
-    solve_forward,
-    worker_functions,
-)
+from repro.analysis.dataflow import dotted_name, join_envs, solve_forward
 
 
 def cfg_of(src):
@@ -233,134 +220,3 @@ class TestSolver:
         assert dotted_name(node) == "np.random.default_rng"
         call = ast.parse("f()[0].method()").body[0].value.func
         assert dotted_name(call) is None
-
-
-class TestModuleBindings:
-    def test_classification(self):
-        tree = ast.parse(textwrap.dedent(
-            """
-            import os
-            from repro.util.rng import substream
-
-            def helper():
-                pass
-
-            TABLE = {}
-            ITEMS = []
-            RNG = substream(0, "x")
-            LOG = open("log.txt", "a")
-            LIMIT = 3
-            """
-        ))
-        bindings = module_bindings(tree)
-        assert bindings["os"] == IMPORT
-        assert bindings["substream"] == IMPORT
-        assert bindings["helper"] == FUNCTION
-        assert bindings["TABLE"] == MUTABLE
-        assert bindings["ITEMS"] == MUTABLE
-        assert bindings["RNG"] == RNG
-        assert bindings["LOG"] == HANDLE
-        assert bindings["LIMIT"] == OTHER
-
-
-class TestWorkerFunctions:
-    def test_process_target_and_transitive_callee(self):
-        tree = ast.parse(textwrap.dedent(
-            """
-            from multiprocessing import Process
-
-            def task(x):
-                return helper(x)
-
-            def helper(x):
-                return x + 1
-
-            def outside(x):
-                return x
-
-            def run(jobs):
-                return [Process(target=task) for _ in jobs]
-            """
-        ))
-        assert worker_functions(tree) == {"task", "helper"}
-
-    def test_drive_style_dispatch(self):
-        tree = ast.parse(textwrap.dedent(
-            """
-            def _run_one(spec):
-                return spec
-
-            def run(states, jobs):
-                return _drive(states, _run_one, jobs)
-            """
-        ))
-        assert worker_functions(tree) == {"_run_one"}
-
-    def test_pool_submit(self):
-        tree = ast.parse(textwrap.dedent(
-            """
-            def work(x):
-                return x
-
-            def run(pool, xs):
-                return [pool.submit(work, x) for x in xs]
-            """
-        ))
-        assert worker_functions(tree) == {"work"}
-
-    def test_plain_call_is_not_dispatch(self):
-        tree = ast.parse(
-            "def work(x):\n    return x\n\ndef run(x):\n    return work(x)\n"
-        )
-        assert worker_functions(tree) == set()
-
-
-def _key_of(node):
-    if (isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "K"):
-        return node.attr
-    return None
-
-
-def tables_of(src):
-    return resolve_dict_tables(ast.parse(textwrap.dedent(src)), _key_of)
-
-
-class TestResolveDictTables:
-    def test_plain_literal(self):
-        (table,) = tables_of("T = {K.A: 1, K.B: 2}\n")
-        assert table.valid and table.keys == {"A", "B"}
-
-    def test_foreign_key_invalidates(self):
-        (table,) = tables_of("T = {K.A: 1, 'x': 2}\n")
-        assert not table.valid
-
-    def test_alias_shares_one_table(self):
-        tables = tables_of("T = {K.A: 1}\nU = T\nU[K.B] = 2\n")
-        assert len(tables) == 1
-        assert tables[0].keys == {"A", "B"}
-
-    def test_dict_copy_is_independent(self):
-        tables = tables_of("B = {K.A: 1}\nT = dict(B)\nT[K.B] = 2\n")
-        keysets = sorted(tuple(sorted(t.keys)) for t in tables)
-        assert keysets == [("A",), ("A", "B")]
-
-    def test_spread_merges_keys(self):
-        tables = tables_of("B = {K.A: 1}\nT = {**B, K.B: 2}\n")
-        keysets = sorted(tuple(sorted(t.keys)) for t in tables)
-        assert keysets == [("A",), ("A", "B")]
-        assert all(t.valid for t in tables)
-
-    def test_unresolvable_spread_invalidates(self):
-        tables = tables_of("T = {**unknown, K.A: 1}\n")
-        assert any(not t.valid for t in tables)
-
-    def test_update_call_merges(self):
-        tables = tables_of("T = {K.A: 1}\nT.update({K.B: 2})\n")
-        assert len(tables) == 1
-        assert tables[0].keys == {"A", "B"}
-
-    def test_function_level_literal_standalone(self):
-        (table,) = tables_of("def f():\n    return {K.A: 1}\n")
-        assert table.keys == {"A"}

@@ -1,15 +1,15 @@
 """Tests for the cross-function summary layer.
 
-Covers :mod:`repro.analysis.summaries` (per-function summaries,
-exception flow, SCC fixpoint) and the diagnostics they produce through
-detlint in the per-module ``repro-lint`` pass
-(:func:`repro.analysis.cli.lint_module`).
+Covers :mod:`repro.analysis.summaries` (per-function summaries, SCC
+fixpoint) and the diagnostics they produce through detlint, the
+per-module pass ``repro-lint`` runs
+(:func:`repro.analysis.detlint.lint_source`).
 """
 
 import ast
 
-from repro.analysis import detlint, srclint
-from repro.analysis.cli import lint_module
+from repro.analysis import detlint
+from repro.analysis.detlint import lint_source
 from repro.analysis.summaries import (
     MODULE_BODY,
     compute_module_summaries,
@@ -85,38 +85,6 @@ class TestSummaries:
         idx, cls = parse_symbol(param_symbol(0, "wallclock"))
         assert (idx, cls) == (0, "wallclock")
 
-    def test_escaping_and_swallowed_exceptions(self):
-        summaries = self.summarize(
-            "def boom():\n"
-            "    raise ValueError('x')\n"
-            "def swallow():\n"
-            "    try:\n"
-            "        return boom()\n"
-            "    except Exception:\n"
-            "        return None\n"
-            "def reraise():\n"
-            "    try:\n"
-            "        return boom()\n"
-            "    except Exception:\n"
-            "        raise\n"
-            "def narrow():\n"
-            "    try:\n"
-            "        return boom()\n"
-            "    except KeyError:\n"
-            "        return None\n"
-        )
-        assert "ValueError" in summaries["boom"].escapes
-        assert not summaries["swallow"].escapes
-        (sw,) = summaries["swallow"].swallows
-        assert "ValueError" in sw.types
-        assert not summaries["reraise"].swallows
-        # The bare raise re-raises whatever the broad handler caught —
-        # conservatively the unknown marker; nothing is swallowed.
-        assert summaries["reraise"].escapes
-        # A narrow handler does not catch ValueError: it escapes.
-        assert "ValueError" in summaries["narrow"].escapes
-        assert not summaries["narrow"].swallows
-
     def test_module_body_summary_present(self):
         summaries = self.summarize("import time\nNOW = time.time()\n")
         assert MODULE_BODY in summaries
@@ -148,7 +116,7 @@ class TestCrossModule:
     REL = "src/repro/core/mod.py"
 
     def test_two_hop_wallclock_chain_is_named(self):
-        diags = lint_module(
+        diags = lint_source(
             "import json\n"
             "import time\n"
             "def helper():\n"
@@ -164,7 +132,7 @@ class TestCrossModule:
         assert "mid() -> helper() -> time.time()" in diag.message
 
     def test_param_sink_reported_at_call_site(self):
-        diags = lint_module(
+        diags = lint_source(
             "import json\n"
             "def persist(values):\n"
             "    return json.dumps(values)\n"
@@ -180,7 +148,7 @@ class TestCrossModule:
         assert "persist()" in unordered[0].message
 
     def test_seed_provenance_through_aliased_helper(self):
-        diags = lint_module(
+        diags = lint_source(
             "import numpy.random as nr\n"
             "def fresh():\n"
             "    return nr.default_rng()\n"
@@ -192,58 +160,10 @@ class TestCrossModule:
         assert diag.location == f"{self.REL}:3"
 
     def test_blessed_substream_path_is_silent(self):
-        diags = lint_module(
+        diags = lint_source(
             "from repro.util.rng import substream\n"
             "def draw(seed):\n"
             "    return substream(seed, 'draws').integers(0, 10)\n",
             self.REL,
         )
         assert "det/seed-provenance" not in rules(diags)
-
-    def test_exc_escape_fires_only_on_proven_swallow(self):
-        diags = lint_module(
-            "def boom():\n"
-            "    raise ValueError('x')\n"
-            "def swallow():\n"
-            "    try:\n"
-            "        return boom()\n"
-            "    except Exception:\n"
-            "        return None\n"
-            "def reraise():\n"
-            "    try:\n"
-            "        return boom()\n"
-            "    except Exception:\n"
-            "        raise\n",
-            self.REL,
-        )
-        escapes = [d for d in diags if d.rule == "exc/escape"]
-        assert len(escapes) == 1
-        assert "swallow" in escapes[0].message
-        assert "ValueError" in escapes[0].message
-        # The folded srclint rule stays out of repro-lint output.
-        assert "src/error-swallow" not in rules(diags)
-
-    def test_folded_srclint_rules_absent_from_repro_lint(self):
-        source = (
-            "import random\n"
-            "def draw():\n"
-            "    return random.random()\n"
-            "def boom():\n"
-            "    raise ValueError('x')\n"
-            "def swallow():\n"
-            "    try:\n"
-            "        return boom()\n"
-            "    except Exception:\n"
-            "        return None\n"
-        )
-        standalone = rules(srclint.lint_source(source, self.REL))
-        assert {"src/unseeded-rng", "src/error-swallow"} <= set(standalone)
-        found = rules(lint_module(source, self.REL))
-        assert "src/unseeded-rng" not in found
-        assert "src/error-swallow" not in found
-        assert {"det/seed-provenance", "exc/escape"} <= set(found)
-
-    def test_srclint_standalone_keeps_folded_rules(self):
-        source = "import random\ndef f():\n    return random.random()\n"
-        diags = list(srclint.lint_source(source, "repro/core/x.py"))
-        assert any(d.rule == "src/unseeded-rng" for d in diags)

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis import detlint, srclint
+from repro.analysis import detlint
 from repro.analysis.baseline import (
     Allowance,
     Baseline,
@@ -53,8 +53,7 @@ class TestExitCodes:
         assert "det/wall-clock" in capsys.readouterr().out
 
     def test_seed_provenance_error_exits_two(self, tmp_path, capsys):
-        # Stdlib random use: srclint's src/unseeded-rng is folded onto
-        # the summary-based det/seed-provenance rule in repro-lint.
+        # Stdlib random use is reported once, as det/seed-provenance.
         path = tmp_path / "bad.py"
         path.write_text("import random\nrandom.seed(1)\n")
         assert main([str(path), "--no-baseline"]) == 2
@@ -70,16 +69,16 @@ class TestExitCodes:
         )
         assert main([str(path), "--no-baseline"]) == 1
 
-    def test_syntax_error_module_reports_like_standalone(self, tmp_path, capsys):
+    def test_syntax_error_module_reports_once(self, tmp_path, capsys):
         path = make_pkg(tmp_path, "broken.py", "def f(:\n")
         rel = path.as_posix()
-        standalone = (srclint.lint_source("def f(:\n", rel)
-                      + detlint.lint_source("def f(:\n", rel))
         assert main([str(path), "--no-baseline", "--json"]) == 2
         payload = json.loads(capsys.readouterr().out)
-        assert sorted((d["rule"], d["location"]) for d in payload["diagnostics"]) \
-            == sorted((d.rule, d.location) for d in standalone)
-        assert {"src/syntax", "det/syntax"} <= {d.rule for d in standalone}
+        assert [(d["rule"], d["severity"], d["location"])
+                for d in payload["diagnostics"]] \
+            == [("det/syntax", "ERROR", f"{rel}:1")]
+        assert [d.rule for d in detlint.lint_source("def f(:\n", rel)] \
+            == ["det/syntax"]
 
 
 class TestBaselineRatchet:
@@ -210,12 +209,17 @@ class TestTracePaths:
 
 class TestEntryPoint:
     def test_module_entry_point_repo_is_clean(self):
+        # The whole-tree check runs in-process (test_detlint's
+        # TestRepoUnderBaseline); this one only proves that
+        # ``python -m repro.analysis.cli`` starts and exits 0 on a
+        # clean repo file.
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis.cli"],
+            [sys.executable, "-m", "repro.analysis.cli",
+             "src/repro/analysis/diagnostics.py"],
             capture_output=True,
             text=True,
             cwd=str(REPO_ROOT),
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "suppressed" in proc.stdout
+        assert "clean" in proc.stdout
