@@ -1,19 +1,25 @@
 """Shared fixtures for the benchmark harness.
 
-``study`` loads the cached 235-trace measurement campaign (building it
-on first use — that one-time pass simulates every trace with all four
-tools and takes tens of minutes; subsequent runs read ``.cache/``).
+``study`` measures the 235-trace campaign through
+:func:`repro.core.executor.execute_study` over the per-record cache
+``.cache/records/`` (the first pass simulates every trace with all four
+tools and takes tens of minutes; later runs read the cached records).
 """
 
 import pytest
 
-from repro.core.pipeline import load_or_run_study
+from repro.core.executor import execute_study
+from repro.experiments.runner import progress_printer
+from repro.util.rng import DEFAULT_SEED
+from repro.workloads.suite import corpus_specs
 
 
 @pytest.fixture(scope="session")
 def study():
     """All 235 study records (cached)."""
-    return load_or_run_study(verbose=True)
+    return execute_study(
+        corpus_specs(DEFAULT_SEED), progress=progress_printer(), seed=DEFAULT_SEED
+    ).records
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@
 Two MFACT capabilities beyond prediction: (1) decompose where each
 rank's time goes and recommend the best upgrade; (2) price a disruptive
 future system — the paper's "10x faster network, 100x faster compute"
-example — across a full design grid with a handful of replays.
+example — across a full design grid off one recorded replay.
 
 Run:  python examples/bottleneck_and_whatif.py
 """

@@ -3,9 +3,11 @@
 
 This is the paper's Section VI workflow end to end:
 
-1. measure a training corpus with all four tools (here: a reduced
-   corpus so the example runs in about a minute; pass --full for the
-   whole 235-trace study, cached after the first run);
+1. measure a training corpus with all four tools through
+   ``execute_study`` (here: a reduced corpus so the example runs in
+   about a minute; pass --full for the whole 235-trace study); every
+   record lands in the per-record cache ``.cache/records/``, so a rerun
+   with unchanged code reads it back;
 2. train the stepwise logistic model with Monte Carlo cross-validation;
 3. ask the enhanced MFACT whether *new* applications need simulation —
    from one cheap modeling replay, no simulator involved.
@@ -16,8 +18,8 @@ Run:  python examples/predict_simulation_need.py [--full]
 import argparse
 
 from repro import CIELITO, EnhancedMFACT, naive_heuristic_success, synthesize_ground_truth
-from repro.core.pipeline import load_or_run_study
-from repro.workloads import generate_doe, generate_npb
+from repro.core.executor import execute_study
+from repro.workloads import corpus_specs, generate_doe, generate_npb
 
 
 def main():
@@ -28,7 +30,7 @@ def main():
 
     limit = None if args.full else args.limit
     print(f"measuring training corpus ({'full 235' if args.full else limit} traces)...")
-    records = load_or_run_study(limit=limit, verbose=False)
+    records = execute_study(corpus_specs()[:limit]).records
     labelled = [r for r in records if r.requires_simulation() is not None]
     print(f"  {len(labelled)} records with packet-flow DIFFtotal labels")
 

@@ -33,7 +33,6 @@ from repro.core import (
     EnhancedMFACT,
     StudyRecord,
     diff_total,
-    load_or_run_study,
     measure_trace,
     naive_heuristic_success,
     requires_simulation,
@@ -61,7 +60,6 @@ __all__ = [
     "StudyRecord",
     "diff_total",
     "requires_simulation",
-    "load_or_run_study",
     "measure_trace",
     "naive_heuristic_success",
     "MachineConfig",

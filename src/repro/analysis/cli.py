@@ -13,8 +13,10 @@ The source layers pass through the baseline ratchet
 summary), anything beyond them fails, and per-``(rule, file)`` drift
 against the allowances is reported as new/fixed deltas.
 ``--update-baseline`` rewrites the baseline to exactly the current
-findings, carrying over documented reasons — run it after paying down
-debt, then commit the file.
+findings of the whole default tree, carrying over documented reasons —
+run it after paying down debt, then commit the file.  It takes no
+paths: a baseline written from part of the tree would drop every
+allowance outside it.
 
 Usage::
 
@@ -145,7 +147,8 @@ def run_lint(
     ``report`` holds the *unbaselined* findings (trace findings are
     never baselined — traces are inputs, not debt).  The raw source
     findings come back separately so ``--update-baseline`` can record
-    them.
+    them.  Stale allowances and deltas are reported only for files
+    under the linted ``paths``.
 
     ``changed`` (a set of canonical paths, see :func:`changed_paths`)
     restricts the *reported* findings to those files.  Every module is
@@ -158,7 +161,8 @@ def run_lint(
         py_paths = [_default_source_root()]
 
     source_diags: List[Diagnostic] = []
-    for path in _python_files(py_paths):
+    files = _python_files(py_paths)
+    for path in files:
         source_diags.extend(
             detlint.lint_source(path.read_text(), path.as_posix())
         )
@@ -169,6 +173,17 @@ def run_lint(
     if baseline is not None:
         result = baseline.apply(source_diags)
         kept = result.kept
+        # A run over part of the tree found nothing in the files it did
+        # not lint because it did not look: their allowances are
+        # neither stale nor fixed.
+        linted = {canonical_path(f.as_posix()) for f in files}
+        roots = [canonical_path(r.as_posix() + "/") for r in py_paths if r.is_dir()]
+
+        def in_scope(path: str) -> bool:
+            return path in linted or any(path.startswith(r) for r in roots)
+
+        result.stale = [a for a in result.stale if in_scope(a.path)]
+        result.deltas = [d for d in result.deltas if in_scope(d.path)]
     if changed is not None:
         kept = [d for d in kept if canonical_path(d.location) in changed]
 
@@ -201,7 +216,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="ignore any baseline; report raw findings")
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite the baseline to the current findings "
-                             "and exit 0")
+                             "of the whole default tree and exit 0 (takes "
+                             "no paths)")
     parser.add_argument("--changed-only", action="store_true",
                         help="report only findings in .py files changed vs "
                              "--changed-ref (the whole tree is still linted "
@@ -210,6 +226,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="git ref --changed-only diffs against "
                              "(default: HEAD)")
     args = parser.parse_args(argv)
+    if args.update_baseline and args.paths:
+        parser.error("--update-baseline rewrites the baseline from the whole "
+                     "default tree; it takes no paths")
 
     baseline_path = args.baseline or Path(DEFAULT_BASELINE)
     baseline: Optional[Baseline] = None

@@ -19,10 +19,7 @@ from repro.core.executor import (
 from repro.core.pipeline import (
     StudyRecord,
     ToolRun,
-    load_or_run_study,
     measure_trace,
-    run_study,
-    study_cache_path,
 )
 
 __all__ = [
@@ -42,7 +39,4 @@ __all__ = [
     "StudyRecord",
     "ToolRun",
     "measure_trace",
-    "run_study",
-    "load_or_run_study",
-    "study_cache_path",
 ]

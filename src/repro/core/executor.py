@@ -1039,6 +1039,63 @@ def drive_spec(
     return entry, record, snapshot
 
 
+def _execute(
+    states: List[_TaskState],
+    worker: Callable[[Tuple[int, object, dict]], RecordOutcome],
+    *,
+    jobs: int,
+    cache_root: Optional[Union[str, Path]],
+    lint_gate: bool,
+    engines: Sequence[str],
+    defects: Optional[Dict[int, str]],
+    progress: Optional[Callable[[int, RecordOutcome], None]],
+    manifest_path: Optional[Union[str, Path]],
+    seed: Optional[int],
+    record_timeout: Optional[float],
+    event_budget: Optional[int],
+    retry: Optional[RetryPolicy],
+    quarantine_root: Optional[Union[str, Path]],
+    collect_metrics: Optional[bool],
+) -> StudyRun:
+    """The body :func:`execute_study` and :func:`execute_traces` share:
+    options, manifest, quarantine, the resilient drive loop, and the
+    finish (which on interrupt still writes the partial manifest)."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    policy = retry if retry is not None else DEFAULT_RETRY_POLICY
+    collect = obs.enabled() if collect_metrics is None else bool(collect_metrics)
+    run_metrics = obs.MetricsRegistry() if collect else None
+    options = study_options(
+        cache_root=cache_root,
+        lint_gate=lint_gate,
+        engines=engines,
+        defects=defects,
+        record_timeout=record_timeout,
+        event_budget=event_budget,
+        metrics=collect,
+    )
+    manifest = RunManifest(
+        seed=seed,
+        jobs=jobs,
+        engines=list(engines),
+        code_version=code_version(),
+        retry_policy=policy.to_json(),
+        record_timeout=record_timeout,
+        event_budget=event_budget,
+    )
+    quarantine = _open_quarantine(quarantine_root, cache_root, manifest)
+    root = Path(cache_root) if cache_root else None
+    try:
+        outcomes = _drive(
+            states, worker, jobs, manifest, options, policy, quarantine,
+            progress, run_metrics,
+        )
+    except KeyboardInterrupt:
+        _finish({}, manifest, root, manifest_path)
+        raise
+    return _finish(outcomes, manifest, root, manifest_path, run_metrics)
+
+
 def execute_study(
     specs: Sequence,
     jobs: int = 1,
@@ -1088,30 +1145,6 @@ def execute_study(
     numpy buffers, the flow model's water-fill memo) warm across all the
     records it measures.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    policy = retry if retry is not None else DEFAULT_RETRY_POLICY
-    collect = obs.enabled() if collect_metrics is None else bool(collect_metrics)
-    run_metrics = obs.MetricsRegistry() if collect else None
-    options = study_options(
-        cache_root=cache_root,
-        lint_gate=lint_gate,
-        engines=engines,
-        defects=defects,
-        record_timeout=record_timeout,
-        event_budget=event_budget,
-        metrics=collect,
-    )
-    manifest = RunManifest(
-        seed=seed,
-        jobs=jobs,
-        engines=list(engines),
-        code_version=code_version(),
-        retry_policy=policy.to_json(),
-        record_timeout=record_timeout,
-        event_budget=event_budget,
-    )
-    quarantine = _open_quarantine(quarantine_root, cache_root, manifest)
     states = [
         _TaskState(
             index=spec.index,
@@ -1121,17 +1154,13 @@ def execute_study(
         )
         for spec in specs
     ]
-    try:
-        outcomes = _drive(
-            states, _run_spec_task, jobs, manifest, options, policy, quarantine,
-            progress, run_metrics,
-        )
-    except KeyboardInterrupt:
-        _finish({}, manifest, Path(cache_root) if cache_root else None, manifest_path)
-        raise
-    return _finish(
-        outcomes, manifest, Path(cache_root) if cache_root else None, manifest_path,
-        run_metrics,
+    return _execute(
+        states, _run_spec_task, jobs=jobs, cache_root=cache_root,
+        lint_gate=lint_gate, engines=engines, defects=defects,
+        progress=progress, manifest_path=manifest_path, seed=seed,
+        record_timeout=record_timeout, event_budget=event_budget,
+        retry=retry, quarantine_root=quarantine_root,
+        collect_metrics=collect_metrics,
     )
 
 
@@ -1156,28 +1185,6 @@ def execute_traces(
     :func:`execute_study`, but the work items are file paths — the CLI
     entry point ``python -m repro.trace.cli measure``.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    policy = retry if retry is not None else DEFAULT_RETRY_POLICY
-    collect = obs.enabled() if collect_metrics is None else bool(collect_metrics)
-    run_metrics = obs.MetricsRegistry() if collect else None
-    options = study_options(
-        cache_root=cache_root,
-        lint_gate=lint_gate,
-        engines=engines,
-        record_timeout=record_timeout,
-        event_budget=event_budget,
-        metrics=collect,
-    )
-    manifest = RunManifest(
-        jobs=jobs,
-        engines=list(engines),
-        code_version=code_version(),
-        retry_policy=policy.to_json(),
-        record_timeout=record_timeout,
-        event_budget=event_budget,
-    )
-    quarantine = _open_quarantine(quarantine_root, cache_root, manifest)
     states = []
     for i, p in enumerate(paths):
         digest = hashlib.sha256(str(Path(p).resolve()).encode("utf-8"))
@@ -1190,15 +1197,11 @@ def execute_traces(
                 quarantine_key=f"path-{digest.hexdigest()}",
             )
         )
-    try:
-        outcomes = _drive(
-            states, _run_path_task, jobs, manifest, options, policy, quarantine,
-            progress, run_metrics,
-        )
-    except KeyboardInterrupt:
-        _finish({}, manifest, Path(cache_root) if cache_root else None, manifest_path)
-        raise
-    return _finish(
-        outcomes, manifest, Path(cache_root) if cache_root else None, manifest_path,
-        run_metrics,
+    return _execute(
+        states, _run_path_task, jobs=jobs, cache_root=cache_root,
+        lint_gate=lint_gate, engines=engines, defects=None,
+        progress=progress, manifest_path=manifest_path, seed=None,
+        record_timeout=record_timeout, event_budget=event_budget,
+        retry=retry, quarantine_root=quarantine_root,
+        collect_metrics=collect_metrics,
     )

@@ -1,27 +1,24 @@
-"""End-to-end study pipeline.
+"""Per-trace measurement: one :class:`StudyRecord` per corpus trace.
 
-Runs the paper's full measurement campaign over the corpus: for every
-trace, MFACT modeling plus packet, flow and packet-flow simulations,
-Table III feature extraction, and the DIFFtotal label, producing one
-:class:`StudyRecord` per trace.
+:func:`measure_trace` runs the paper's four tools on one trace — MFACT
+modeling plus packet, flow and packet-flow simulations — with Table III
+feature extraction; the record's DIFFtotal gives the Section VI label.
 
-Execution and caching are delegated to :mod:`repro.core.executor`:
-``jobs > 1`` fans the per-trace measurements out over a process pool,
-and every finished record is stored in a content-addressed cache under
-``.cache/records/`` keyed by (trace fingerprint, machine config hash,
-engine suite, code version) — so interrupted studies resume, and
-editing one workload generator only recomputes its own traces.  A full
-study additionally writes the aggregate ``.cache/study_seed<seed>.json``
-snapshot that the experiment and benchmark modules load in one read.
+A study's records come from one path,
+:func:`repro.core.executor.execute_study`: ``jobs > 1`` fans the
+per-trace measurements out over a process pool, and every finished
+record is stored in a content-addressed cache under ``.cache/records/``
+keyed by (trace fingerprint, machine config hash, engine suite, code
+version) — so interrupted studies resume, editing one workload
+generator only recomputes its own traces, and a change to the
+measurement code can never serve a record measured by the old code.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro import obs
 from repro.analysis.lint import LintGateError, lint_trace
@@ -35,10 +32,8 @@ from repro.trace.features import extract_features
 from repro.trace.trace import TraceSet
 from repro.util.budget import Budget, BudgetExceeded, WallClockExceeded
 from repro.util.faults import maybe_inject
-from repro.util.rng import DEFAULT_SEED
-from repro.workloads.suite import corpus_specs
 
-__all__ = ["ToolRun", "StudyRecord", "run_study", "load_or_run_study", "study_cache_path"]
+__all__ = ["ToolRun", "StudyRecord"]
 
 SIM_MODELS = ("packet", "flow", "packet-flow")
 
@@ -274,115 +269,3 @@ def measure_trace(
     record.expected_diff_band = band_for_step(step) if degraded else ""
     obs.counter("repro_records_measured_total").inc()
     return record
-
-
-def run_study(
-    seed: int = DEFAULT_SEED,
-    limit: Optional[int] = None,
-    progress: Optional[Callable[[int, StudyRecord], None]] = None,
-    lint_gate: bool = False,
-    jobs: int = 1,
-    cache_root: Optional[Path] = None,
-    manifest_path: Optional[Path] = None,
-    record_timeout: Optional[float] = None,
-    event_budget: Optional[int] = None,
-    retry=None,
-) -> List[StudyRecord]:
-    """Build the corpus and measure every trace with all four tools.
-
-    ``jobs`` measurement processes run concurrently (``jobs=1`` keeps
-    the historical in-process path); results are identical either way.
-    ``cache_root`` enables the per-record cache at that directory
-    (``None`` recomputes everything).  Failures are isolated: a record
-    whose replay raises — including a lint rejection under
-    ``lint_gate=True`` — is dropped from the returned list and reported
-    in the run manifest (written to ``manifest_path`` when given)
-    instead of killing the study.  ``record_timeout`` (wall seconds)
-    and ``event_budget`` bound each record, with over-budget records
-    degrading down the engine ladder rather than failing; ``retry`` is
-    a :class:`~repro.core.resilience.RetryPolicy` for transient
-    failures (default: the executor's standard policy).
-    """
-    from repro.core.executor import execute_study
-
-    specs = corpus_specs(seed)
-    if limit is not None:
-        specs = specs[:limit]
-
-    def forward(index: int, outcome) -> None:
-        if progress and outcome.ok:
-            progress(index, outcome.record)
-
-    run = execute_study(
-        specs,
-        jobs=jobs,
-        cache_root=cache_root,
-        lint_gate=lint_gate,
-        progress=forward if progress else None,
-        manifest_path=manifest_path,
-        seed=seed,
-        record_timeout=record_timeout,
-        event_budget=event_budget,
-        retry=retry,
-    )
-    return run.records
-
-
-def study_cache_path(seed: int = DEFAULT_SEED, root: Optional[Path] = None) -> Path:
-    """Location of the JSON study cache for ``seed``."""
-    root = Path(root) if root is not None else Path(".cache")
-    return root / f"study_seed{seed}.json"
-
-
-def load_or_run_study(
-    seed: int = DEFAULT_SEED,
-    limit: Optional[int] = None,
-    cache_root: Optional[Path] = None,
-    verbose: bool = False,
-    jobs: int = 1,
-    use_cache: bool = True,
-    record_timeout: Optional[float] = None,
-    event_budget: Optional[int] = None,
-) -> List[StudyRecord]:
-    """Load cached study records, or run the study and cache it.
-
-    Two cache layers live under ``cache_root`` (default ``.cache/``):
-    the aggregate per-seed snapshot ``study_seed<seed>.json`` (one read
-    for the common load path) and the per-record content-addressed
-    store ``records/`` that the executor maintains — the layer that
-    makes interrupted or partially invalidated studies incremental.
-    ``use_cache=False`` bypasses both and recomputes from scratch.
-    ``jobs`` controls how many measurement processes run a cold study.
-    """
-    root = Path(cache_root) if cache_root is not None else Path(".cache")
-    path = study_cache_path(seed, root)
-    if use_cache and path.exists():
-        data = json.loads(path.read_text())
-        records = [StudyRecord.from_json(r) for r in data["records"]]
-        if limit is None or limit <= len(records):
-            return records if limit is None else records[:limit]
-    t0 = time.time()
-
-    def progress(index, record):
-        if verbose:
-            diff = record.diff_total()
-            diff_text = f"{100 * diff:6.2f}%" if diff is not None else "   n/a"
-            print(
-                f"[{time.time() - t0:7.1f}s] {index + 1:3d} {record.name:34s} "
-                f"DIFF={diff_text} class={record.mfact_class}",
-                flush=True,
-            )
-
-    records = run_study(
-        seed,
-        limit=limit,
-        progress=progress,
-        jobs=jobs,
-        cache_root=(root / "records") if use_cache else None,
-        record_timeout=record_timeout,
-        event_budget=event_budget,
-    )
-    if use_cache and limit is None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"seed": seed, "records": [r.to_json() for r in records]}))
-    return records

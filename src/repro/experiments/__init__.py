@@ -20,13 +20,11 @@ from repro.experiments import (  # noqa: F401
     table3,
     table4,
 )
-from repro.experiments.corpus import study_records
 
 __all__ = [
     "ablations",
     "corpus",
     "report",
-    "study_records",
     "table1",
     "table2",
     "table3",

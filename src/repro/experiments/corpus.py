@@ -1,14 +1,8 @@
-"""Shared access to the cached study results."""
+"""Display order of the corpus applications in the per-app figures."""
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import List, Optional
-
-from repro.core.pipeline import StudyRecord, load_or_run_study
-from repro.util.rng import DEFAULT_SEED
-
-__all__ = ["study_records", "NPB_NAMES", "DOE_NAMES"]
+__all__ = ["NPB_NAMES", "DOE_NAMES"]
 
 #: Display order of the NAS benchmarks (Figure 3).
 NPB_NAMES = ("BT", "CG", "DT", "EP", "FT", "IS", "LU", "MG", "SP")
@@ -26,33 +20,3 @@ DOE_NAMES = (
     "CMC",
     "Nekbone",
 )
-
-
-def study_records(
-    seed: int = DEFAULT_SEED,
-    limit: Optional[int] = None,
-    cache_root: Optional[Path] = None,
-    verbose: bool = False,
-    jobs: int = 1,
-    use_cache: bool = True,
-    record_timeout: Optional[float] = None,
-    event_budget: Optional[int] = None,
-) -> List[StudyRecord]:
-    """Study records (from cache when available).
-
-    ``jobs`` parallelizes a cold run across processes; ``use_cache=False``
-    skips both the aggregate snapshot and the per-record cache.
-    ``record_timeout`` (wall seconds) and ``event_budget`` bound every
-    record of a cold run; over-budget replays degrade down the engine
-    ladder with the loss annotated on the record (``degraded_from``).
-    """
-    return load_or_run_study(
-        seed=seed,
-        limit=limit,
-        cache_root=cache_root,
-        verbose=verbose,
-        jobs=jobs,
-        use_cache=use_cache,
-        record_timeout=record_timeout,
-        event_budget=event_budget,
-    )

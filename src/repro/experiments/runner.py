@@ -8,15 +8,15 @@ and ``audit``.
 
 The first run builds the 235-trace corpus and simulates it with all
 four tools; ``--jobs/-j N`` spreads that work over N processes
-(``-j 1``, the default, stays in-process).  Results are cached under
-``.cache/`` at two granularities: a per-record content-addressed store
-``.cache/records/`` keyed by (trace fingerprint, machine config hash,
-engine suite, code version) — which makes interrupted runs resumable
-and partial invalidation cheap — and the aggregate per-seed snapshot
-``.cache/study_seed<seed>.json`` read back by later runs.  Each run
-writes ``.cache/records/last_run_manifest.json`` describing per-record
-timing, cache hits and failures.  ``--no-cache`` bypasses every cache
-layer and recomputes from scratch.
+(``-j 1``, the default, stays in-process).  Records come from
+:func:`repro.core.executor.execute_study` over the per-record
+content-addressed cache ``.cache/records/``, keyed by (trace
+fingerprint, machine config hash, engine suite, code version): later
+runs read their records back from it, interrupted runs resume, and a
+change to the measurement code re-measures instead of serving stale
+records.  Each run writes ``.cache/records/last_run_manifest.json``
+describing per-record timing, cache hits and failures.  ``--no-cache``
+runs without the record cache and recomputes everything.
 
 ``--metrics-out FILE`` enables run telemetry (:mod:`repro.obs`) for the
 whole invocation and writes the final merged snapshot as Prometheus
@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Callable, Dict, List, Optional
 
+from repro.core.executor import DEFAULT_RECORD_CACHE, RecordOutcome, execute_study
 from repro.experiments import (
     fig1,
     fig2,
@@ -44,10 +46,10 @@ from repro.experiments import (
     table3,
     table4,
 )
-from repro.experiments.corpus import study_records
 from repro.util.rng import DEFAULT_SEED
+from repro.workloads.suite import corpus_specs
 
-__all__ = ["main", "run_experiment", "EXPERIMENTS"]
+__all__ = ["main", "run_experiment", "progress_printer", "EXPERIMENTS"]
 
 #: Experiments driven by study records: name -> (compute, render).
 EXPERIMENTS: Dict[str, tuple] = {
@@ -70,6 +72,26 @@ def run_experiment(name: str, records) -> str:
     return render(compute(records))
 
 
+def progress_printer() -> Callable[[int, RecordOutcome], None]:
+    """An :func:`execute_study` ``progress`` callback printing one line
+    per measured record: elapsed time, DIFFtotal and MFACT class."""
+    t0 = time.time()
+
+    def progress(index: int, outcome: RecordOutcome) -> None:
+        record = outcome.record
+        if record is None:
+            return
+        diff = record.diff_total()
+        diff_text = f"{100 * diff:6.2f}%" if diff is not None else "   n/a"
+        print(
+            f"[{time.time() - t0:7.1f}s] {index + 1:3d} {record.name:34s} "
+            f"DIFF={diff_text} class={record.mfact_class}",
+            flush=True,
+        )
+
+    return progress
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -87,7 +109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="bypass the study snapshot and per-record caches; recompute everything",
+        help="run without the per-record cache; recompute everything",
     )
     parser.add_argument(
         "--record-timeout", type=float, default=None, metavar="SEC",
@@ -127,15 +149,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     records = None
     if needs_records:
-        records = study_records(
-            seed=args.seed,
-            limit=args.limit,
-            verbose=not args.quiet,
+        records = execute_study(
+            corpus_specs(args.seed)[: args.limit],
             jobs=args.jobs,
-            use_cache=not args.no_cache,
+            cache_root=None if args.no_cache else DEFAULT_RECORD_CACHE,
+            progress=None if args.quiet else progress_printer(),
+            seed=args.seed,
             record_timeout=args.record_timeout,
             event_budget=args.event_budget,
-        )
+        ).records
     table2_result = None
     for target in targets:
         print()

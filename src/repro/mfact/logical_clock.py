@@ -493,23 +493,19 @@ def model_trace(
     trace: TraceSet,
     machine: MachineConfig,
     grid: Optional[ConfigGrid] = None,
-    recorder=None,
 ) -> MFACTReport:
     """Convenience wrapper: replay ``trace`` on ``machine`` and report.
 
-    ``recorder`` (duck-typed, see :class:`LogicalClockReplay`) rides the
-    same replay — the hooks are structural (ranks, tags, bytes,
-    durations), so the recorded tape is independent of ``grid``.
-
-    With the default grid and no recorder the report is the trace
-    model's (:func:`repro.sensitivity.analysis.trace_model`): the
-    replay also records the dependency graph, and later sensitivity and
-    what-if queries on the same trace content reuse it instead of
-    replaying.  The returned report is then shared; do not mutate it.
+    With the default grid the report is the trace model's
+    (:func:`repro.sensitivity.analysis.trace_model`): the replay also
+    records the dependency graph, and later sensitivity and what-if
+    queries on the same trace content reuse it instead of replaying.
+    The returned report is then shared; do not mutate it.  An explicit
+    ``grid`` replays on that grid, outside the shared model.
     """
-    if grid is None and recorder is None:
+    if grid is None:
         # Imported here: repro.sensitivity builds on this module.
         from repro.sensitivity.analysis import trace_model
 
         return trace_model(trace, machine)[1]
-    return LogicalClockReplay(trace, machine, grid, recorder=recorder).run()
+    return LogicalClockReplay(trace, machine, grid).run()

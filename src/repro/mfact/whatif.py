@@ -3,18 +3,19 @@
 The paper motivates modeling for *disruptive* design questions — "a
 cluster with a 10x faster network and 100x faster compute" — where the
 design space is too large to simulate point by point.  This module
-wraps MFACT's multi-configuration replay in a small design-space API:
-declare axes (bandwidth, latency, compute speed), explore the whole
-grid in one replay per compute point, and query speedups, bottleneck
-shifts and the cheapest configuration meeting a target.
+wraps MFACT's trace model in a small design-space API:
+declare axes (bandwidth, latency, compute speed), price the whole grid,
+and query speedups, bottleneck shifts and the cheapest configuration
+meeting a target.
 
-``explore_design_space(analytic=True)`` drops the replays entirely:
-every grid point is priced by evaluating the max-plus dependency graph
+Every grid point is priced by evaluating the max-plus dependency graph
 of the trace model (:func:`repro.sensitivity.analysis.trace_model`) —
 the graph recorded by the MFACT sweep replay itself, so a trace that
 was already modeled or analyzed pays no replay at all.  It agrees with
-the replayed path within the package's documented ``1e-6`` relative
-band (the differential suite asserts ``1e-9`` on the mini-corpus).
+a replay per compute factor (the oracle in
+``tests/test_sensitivity_differential.py``) within the package's
+documented ``1e-6`` relative band; that suite asserts ``1e-9`` on the
+mini-corpus.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.machines.config import MachineConfig
-from repro.mfact.hockney import ConfigGrid
-from repro.mfact.logical_clock import LogicalClockReplay
 from repro.trace.trace import TraceSet
 
 __all__ = ["DesignPoint", "DesignSpaceResult", "explore_design_space"]
@@ -114,76 +113,36 @@ def explore_design_space(
     bandwidth_factors: Sequence[float] = (1.0, 2.0, 10.0),
     latency_factors: Sequence[float] = (1.0, 2.0, 10.0),
     compute_factors: Sequence[float] = (1.0, 10.0, 100.0),
-    analytic: bool = False,
+    analytic: bool = True,
 ) -> DesignSpaceResult:
     """Price a trace on every (bw, lat, compute) combination.
 
-    Bandwidth and latency axes ride MFACT's vectorized grid, so the cost
-    is one replay *per compute factor* regardless of how many network
-    points are explored.  With ``analytic=True`` a single *recorded*
-    replay prices the whole grid — including the compute axis — by
-    evaluating the max-plus dependency graph (:mod:`repro.sensitivity`);
-    point ordering, the baseline requirement and the result shape are
-    identical to the replayed path.
+    One tape evaluation of the trace model prices the whole grid,
+    compute axis included; the model is recorded once per trace content
+    and shared with the other queries.  Points are ordered compute-major,
+    then latency, then bandwidth, and the grid must contain the baseline
+    point (all factors 1.0).
+
+    ``analytic`` accepts only ``True``, the one pricing path; the
+    replay-per-compute-factor loop is the test oracle in
+    ``tests/test_sensitivity_differential.py``.
     """
+    if not analytic:
+        raise ValueError(
+            "explore_design_space prices only off the trace model's tape; the "
+            "replay-per-compute-factor loop is the oracle in "
+            "tests/test_sensitivity_differential.py"
+        )
     if not all(f > 0 for f in bandwidth_factors):
         raise ValueError("bandwidth factors must be positive")
     if not all(f > 0 for f in latency_factors):
         raise ValueError("latency factors must be positive")
     if not all(f > 0 for f in compute_factors):
         raise ValueError("compute factors must be positive")
-    if analytic:
-        return _explore_analytic(
-            trace, machine, bandwidth_factors, latency_factors, compute_factors
-        )
-    points: List[DesignPoint] = []
-    totals: List[float] = []
-    baseline_index = None
-    for cf in compute_factors:
-        lats, bws, scales = [], [], []
-        for lf in latency_factors:
-            for bf in bandwidth_factors:
-                lats.append(machine.latency / lf)
-                bws.append(machine.bandwidth * bf)
-                scales.append(machine.compute_scale / cf)
-        grid = ConfigGrid(lats, bws, scales)
-        report = LogicalClockReplay(trace, machine, grid).run()
-        i = 0
-        for lf in latency_factors:
-            for bf in bandwidth_factors:
-                point = DesignPoint(bf, lf, cf)
-                points.append(point)
-                totals.append(float(report.total_time[i]))
-                if bf == 1.0 and lf == 1.0 and cf == 1.0:
-                    baseline_index = len(points) - 1
-                i += 1
-    if baseline_index is None:
-        raise ValueError(
-            "the design grid must contain the baseline point (all factors 1.0)"
-        )
-    return DesignSpaceResult(
-        machine=machine,
-        points=points,
-        total_time=np.asarray(totals),
-        baseline_index=baseline_index,
-    )
-
-
-def _explore_analytic(
-    trace: TraceSet,
-    machine: MachineConfig,
-    bandwidth_factors: Sequence[float],
-    latency_factors: Sequence[float],
-    compute_factors: Sequence[float],
-) -> DesignSpaceResult:
-    """Zero-replay grid pricing: tape-evaluate every point on the trace
-    model, recorded once per trace content and shared with the other
-    queries (:func:`repro.sensitivity.analysis.trace_model`)."""
     # Imported here: whatif is a mfact module and repro.sensitivity
     # builds on mfact's replay, so a top-level import would be cyclic.
     from repro.sensitivity.analysis import trace_model
 
-    graph, _ = trace_model(trace, machine)
     points: List[DesignPoint] = []
     lats: List[float] = []
     bws: List[float] = []
@@ -202,6 +161,7 @@ def _explore_analytic(
         raise ValueError(
             "the design grid must contain the baseline point (all factors 1.0)"
         )
+    graph, _ = trace_model(trace, machine)
     totals = graph.evaluate(np.asarray(lats), np.asarray(bws), np.asarray(scales))
     return DesignSpaceResult(
         machine=machine,

@@ -132,8 +132,8 @@ def trace_model(
 ) -> Tuple[DependencyGraph, MFACTReport]:
     """:func:`record_graph`, shared by the query calls on one trace.
 
-    ``model_trace`` (default grid, no recorder), :func:`analyze_trace`
-    and ``explore_design_space(analytic=True)`` all read the same trace
+    ``model_trace`` (default grid), :func:`analyze_trace` and
+    ``explore_design_space`` all read the same trace
     model, so a trace queried all three ways replays once.  The memo is
     keyed by content — the trace fingerprint and the machine config
     hash, as the record cache is — because traces are mutable:

@@ -12,14 +12,14 @@ from repro.core.executor import (
     execute_traces,
     trace_cache_key,
 )
-from repro.core.pipeline import StudyRecord, load_or_run_study, run_study
+from repro.core.pipeline import StudyRecord
 from repro.machines.presets import get_machine
 from repro.sim.engine import EventEngine
 from repro.sim.mpi_replay import simulate_trace
 from repro.trace.dumpi import write_trace
 from repro.util.manifest import RunManifest
 from repro.workloads.npb import generate_npb
-from repro.workloads.suite import build_trace, mini_corpus_specs
+from repro.workloads.suite import build_trace, corpus_specs, mini_corpus_specs
 
 SEED = 11
 
@@ -49,11 +49,6 @@ class TestSerialParallelEquivalence:
         run = execute_study(specs[:6], jobs=3, cache_root=None, seed=SEED)
         workers = {e.worker for e in run.manifest.entries}
         assert len(workers) > 1, "expected records from more than one worker pid"
-
-    def test_run_study_jobs_parameter_is_equivalent(self):
-        serial = run_study(seed=SEED, limit=2, jobs=1)
-        parallel = run_study(seed=SEED, limit=2, jobs=2)
-        assert canonical(serial) == canonical(parallel)
 
 
 class TestRecordCache:
@@ -136,20 +131,28 @@ class TestRecordCache:
         assert len(cache) == 0
 
 
-class TestLoadOrRunStudy:
-    def test_no_cache_bypasses_snapshot_and_records(self, tmp_path, monkeypatch):
+class TestCorpusStudy:
+    """``execute_study`` over the paper corpus specs, as the experiments
+    runner, the benchmark harness and the examples call it."""
+
+    def test_corpus_jobs_parameter_is_equivalent(self):
+        serial = execute_study(corpus_specs(SEED)[:2], jobs=1, cache_root=None)
+        parallel = execute_study(corpus_specs(SEED)[:2], jobs=2, cache_root=None)
+        assert canonical(serial.records) == canonical(parallel.records)
+
+    def test_no_cache_root_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        records = load_or_run_study(seed=SEED, limit=1, use_cache=False)
+        records = execute_study(corpus_specs(SEED)[:1], cache_root=None).records
         assert len(records) == 1
         assert not (tmp_path / ".cache").exists()
 
     def test_record_cache_populated_under_cache_root(self, tmp_path):
-        load_or_run_study(seed=SEED, limit=2, cache_root=tmp_path)
-        assert len(RecordCache(tmp_path / "records")) == 2
-        # Second limited run hits the per-record layer (no snapshot is
-        # written for limited runs).
-        load_or_run_study(seed=SEED, limit=2, cache_root=tmp_path)
-        manifest = RunManifest.read(tmp_path / "records" / MANIFEST_NAME)
+        root = tmp_path / "records"
+        execute_study(corpus_specs(SEED)[:2], cache_root=root)
+        assert len(RecordCache(root)) == 2
+        # The second run reads both records back from the cache.
+        execute_study(corpus_specs(SEED)[:2], cache_root=root)
+        manifest = RunManifest.read(root / MANIFEST_NAME)
         assert manifest.hits == 2 and manifest.misses == 0
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import detlint
 from repro.analysis.baseline import (
     Allowance,
@@ -120,21 +122,22 @@ class TestBaselineRatchet:
         assert code == 0
         assert "stale allowance" in out
 
-    def test_update_baseline_writes_and_carries_reasons(self, tmp_path, capsys):
+    def test_update_baseline_writes_and_carries_reasons(
+        self, tmp_path, capsys, monkeypatch
+    ):
         two = WALLCLOCK_SRC + (
             "\ndef g(record):\n"
             "    return json.dumps({\"seen\": time.time()})\n"
         )
-        make_pkg(tmp_path, "mod.py", two)
+        # --update-baseline lints the default tree, ./src/repro.
+        make_pkg(tmp_path / "src", "mod.py", two)
+        monkeypatch.chdir(tmp_path)
         bpath = tmp_path / "baseline.json"
         Baseline([
             Allowance("det/wall-clock", "repro/core/mod.py", 1,
                       "intentional timestamp"),
         ]).save(bpath)
-        code = main([
-            str(tmp_path / "repro"), "--baseline", str(bpath),
-            "--update-baseline",
-        ])
+        code = main(["--baseline", str(bpath), "--update-baseline"])
         assert code == 0
         assert "baseline written" in capsys.readouterr().out
         updated = Baseline.load(bpath)
@@ -143,9 +146,39 @@ class TestBaselineRatchet:
         assert allowance.reason == "intentional timestamp"
         # The regenerated baseline makes the same tree pass.
         assert main([
-            str(tmp_path / "repro"), "--baseline", str(bpath),
+            str(tmp_path / "src" / "repro"), "--baseline", str(bpath),
         ]) == 0
         capsys.readouterr()
+
+    def test_update_baseline_with_paths_is_a_usage_error(self, tmp_path, capsys):
+        make_pkg(tmp_path, "mod.py", CLEAN_SRC)
+        bpath = tmp_path / "baseline.json"
+        Baseline([
+            Allowance("det/wall-clock", "repro/bench/sensitivity.py", 1,
+                      "documented reason"),
+        ]).save(bpath)
+        before = bpath.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main([str(tmp_path / "repro" / "core" / "mod.py"),
+                  "--baseline", str(bpath), "--update-baseline"])
+        assert exc.value.code == 2
+        assert "--update-baseline" in capsys.readouterr().err
+        assert bpath.read_bytes() == before
+
+    def test_subset_run_keeps_unlinted_allowances_quiet(self, tmp_path, capsys):
+        make_pkg(tmp_path, "mod.py", CLEAN_SRC)
+        make_pkg(tmp_path, "other.py", CLEAN_SRC)
+        bpath = tmp_path / "baseline.json"
+        Baseline([
+            Allowance("det/wall-clock", "repro/core/other.py", 1, "not linted"),
+            Allowance("det/wall-clock", "repro/core/mod.py", 1, "fixed"),
+        ]).save(bpath)
+        code = main([str(tmp_path / "repro" / "core" / "mod.py"),
+                     "--baseline", str(bpath), "--json"])
+        assert code == 0
+        baseline = json.loads(capsys.readouterr().out)["baseline"]
+        assert [a["path"] for a in baseline["stale"]] == ["repro/core/mod.py"]
+        assert [d["path"] for d in baseline["deltas"]] == ["repro/core/mod.py"]
 
     def test_run_lint_returns_raw_source_diags(self, tmp_path):
         make_pkg(tmp_path, "mod.py", WALLCLOCK_SRC)

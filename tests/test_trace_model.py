@@ -1,8 +1,7 @@
 """One replay per trace: the query calls share the trace model.
 
-``model_trace`` (default grid, no recorder), ``analyze_trace``,
-``explore_design_space(analytic=True)`` and
-``EnhancedMFACT.predict_trace`` all read
+``model_trace`` (default grid), ``analyze_trace``,
+``explore_design_space`` and ``EnhancedMFACT.predict_trace`` all read
 :func:`repro.sensitivity.analysis.trace_model`, a small memo keyed by
 trace content and machine configuration.  These tests pin when it hits,
 when it must miss, and that a hit returns what a fresh replay would.
@@ -86,7 +85,7 @@ class TestOneReplay:
         trace = cg()
         report = model_trace(trace, CIELITO)
         sens = analyze_trace(trace, CIELITO)
-        grid = explore_design_space(trace, CIELITO, analytic=True, **GRID)
+        grid = explore_design_space(trace, CIELITO, **GRID)
         enhanced().predict_trace(trace, CIELITO)
         # predict_trace reads the model twice (report and sensitivity).
         assert counters() == (1, 4, 1)
@@ -136,12 +135,11 @@ class TestMisses:
         assert counters() == (2, 0, 2)
         assert trace_model(trace, EDISON)[1].machine == EDISON.name
 
-    def test_explicit_grid_or_recorder_bypasses_the_memo(self):
+    def test_explicit_grid_bypasses_the_memo(self):
         trace = cg()
         model_trace(trace, CIELITO, grid=ConfigGrid.sweep(CIELITO))
-        model_trace(trace, CIELITO, recorder=GraphRecorder(trace.nranks, CIELITO))
         model_trace(trace, CIELITO, grid=ConfigGrid.single(CIELITO))
-        assert counters() == (3, 0, 0)
+        assert counters() == (2, 0, 0)
         assert len(analysis._memo) == 0
 
     def test_record_graph_always_replays(self):
