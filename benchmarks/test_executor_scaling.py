@@ -1,7 +1,8 @@
 """Executor scaling benchmark: serial vs 2/4 workers, cold vs warm cache.
 
-Runs the 16-trace mini corpus through the executor at ``-j 1/2/4`` and
-once more against a warm per-record cache, printing a wall-clock table.
+Runs the 16-trace mini corpus through the executor at ``-j 1/2/4`` (the
+best of three alternating runs each) and once more against a warm
+per-record cache, printing a wall-clock table.
 The parallel-speedup assertions are gated on the machine actually
 having the cores (CI boxes with one core still run the benchmark and
 report, but only the cache-speedup invariant is enforced there).
@@ -17,6 +18,7 @@ from repro.workloads.suite import mini_corpus_specs
 
 SEED = 31
 CORPUS = 16
+ROUNDS = 3
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +37,15 @@ def _timed(specs, jobs, cache_root):
 class TestExecutorScaling:
     def test_parallel_and_cache_speedups(self, specs, tmp_path):
         cores = os.cpu_count() or 1
-        serial, _ = _timed(specs, jobs=1, cache_root=None)
-        two, _ = _timed(specs, jobs=2, cache_root=None)
-        four, _ = _timed(specs, jobs=4, cache_root=None)
+        # Best of ROUNDS alternating runs per setting: a single sub-second
+        # run is decided by pool start-up and by whatever else holds the
+        # CPUs at that moment.
+        best = {}
+        for _ in range(ROUNDS):
+            for jobs in (1, 2, 4):
+                elapsed, _ = _timed(specs, jobs=jobs, cache_root=None)
+                best[jobs] = min(elapsed, best.get(jobs, elapsed))
+        serial, two, four = best[1], best[2], best[4]
 
         root = tmp_path / "records"
         cold, cold_run = _timed(specs, jobs=1, cache_root=root)

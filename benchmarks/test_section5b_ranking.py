@@ -6,8 +6,9 @@ from repro.experiments import section5b
 
 #: Known deviation from the paper (EXPERIMENTS.md, Section V-B): with
 #: packet trains the packet model's per-event cost fell about 3x, and
-#: flow is now last about as often as packet.  Measured on a 2-vCPU host:
-PACKET_NOT_MOST_OFTEN_LAST = "packet last on 42.2% of 154 traces, flow on 44.8%"
+#: flow is now last about as often as packet.  Measured in a cold ``-j 2``
+#: study on a 2-vCPU host:
+PACKET_NOT_MOST_OFTEN_LAST = "packet last on 46.3% of 147 traces, flow on 51.7%"
 
 
 def test_ranking_shares(study, benchmark):

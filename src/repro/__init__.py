@@ -4,8 +4,8 @@ Application Modeling and Simulation" (IPPS 2018).
 The package provides:
 
 * :mod:`repro.mfact` — MFACT-style trace-driven modeling (logical
-  clocks, Hockney p2p, Thakur–Gropp collectives, multi-configuration
-  replay, application classification);
+  clocks, Hockney p2p, Thakur–Gropp collectives, a configuration grid
+  priced off one replay, application classification);
 * :mod:`repro.sim` — SST/Macro-style discrete-event simulation with
   packet, flow and packet-flow network models over torus / dragonfly /
   fat-tree topologies;

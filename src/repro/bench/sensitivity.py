@@ -3,14 +3,11 @@
 Prices a fixed 100-point network design grid (10 latency x 10
 bandwidth factors) for each trace of a seeded mini-corpus two ways:
 
-* **replayed** — one single-configuration
-  :class:`~repro.mfact.logical_clock.LogicalClockReplay` per grid
-  point.  This is the general-case cost of design-space exploration:
-  the vectorized multi-config grid trick only collapses axes that are
-  affine per event (latency/bandwidth), so any study that perturbs
-  structure-adjacent knobs pays one replay per point.
+* **replayed** — one :class:`~repro.mfact.logical_clock.LogicalClockReplay`
+  per grid point, on the machine with that point's latency, bandwidth
+  and compute scale: what pricing a grid costs without a tape.
 * **analytic** — record the max-plus dependency graph once (one
-  single-configuration replay with a
+  replay at the machine's own configuration with a
   :class:`~repro.sensitivity.GraphRecorder` attached) and price all 100 points
   with a single :meth:`~repro.sensitivity.DependencyGraph.evaluate`
   call.  The timed pass includes the recording replay, so the speedup
@@ -53,13 +50,13 @@ import gc
 import json
 import sys
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.machines.presets import get_machine
-from repro.mfact.hockney import ConfigGrid
 from repro.mfact.logical_clock import LogicalClockReplay
 from repro.sensitivity.graph import GraphRecorder
 from repro.workloads.suite import build_trace, mini_corpus_specs
@@ -172,9 +169,10 @@ def run_bench(repeats: int = DEFAULT_REPEATS) -> Dict:
                     del out[:]
                     totals = np.empty(len(lats))
                     for i in range(len(lats)):
-                        grid = ConfigGrid([lats[i]], [bws[i]], [scales[i]])
-                        rep = LogicalClockReplay(trace, machine, grid).run()
-                        totals[i] = float(rep.total_time[0])
+                        point = replace(machine, latency=float(lats[i]),
+                                        bandwidth=float(bws[i]),
+                                        compute_scale=float(scales[i]))
+                        totals[i] = LogicalClockReplay(trace, point).run().baseline_total_time
                     out.append(totals)
 
                 def analytic_pass(out=analytic, shape=graph_shape, trace=trace,
@@ -182,10 +180,7 @@ def run_bench(repeats: int = DEFAULT_REPEATS) -> Dict:
                                   scales=scales):
                     del out[:]
                     recorder = GraphRecorder(trace.nranks, machine)
-                    LogicalClockReplay(
-                        trace, machine, ConfigGrid.single(machine),
-                        recorder=recorder,
-                    ).run()
+                    LogicalClockReplay(trace, machine, recorder=recorder).run()
                     graph = recorder.finish()
                     shape[0], shape[1] = graph.n_nodes, graph.n_edges
                     out.append(graph.evaluate(lats, bws, scales))

@@ -168,14 +168,13 @@ def measure_trace(
         comm_fraction=trace.comm_fraction(),
         features=features,
     )
-    # One recorded MFACT sweep replay yields both the report and the
-    # dependency graph for the zero-replay sensitivity features.  No
-    # memo here: a cache miss must replay the same way in every worker,
-    # or -j 1 and -j N runs would count different metrics.
-    # ``record.mfact.walltime`` is that replay's wall time, the tool cost
-    # the paper's Table II ranks.  It includes the recorder's hooks,
-    # which only log (one list extend each); the graph is built from
-    # the log after the replay, outside the walltime.
+    # One recorded MFACT replay yields the dependency graph, and the
+    # graph prices the report's configuration sweep and the zero-replay
+    # sensitivity features.  No memo here: a cache miss must replay the
+    # same way in every worker, or -j 1 and -j N runs would count
+    # different metrics.  ``record.mfact.walltime``, the tool cost the
+    # paper's Table II ranks, covers the replay (with the recorder's
+    # hooks), sealing the graph and pricing the sweep.
     graph, report = record_graph(trace, machine)
     record.mfact = ToolRun(
         completed=True,

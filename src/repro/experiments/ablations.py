@@ -10,8 +10,8 @@ modules, the CLI and notebooks can share one implementation:
   misclassification;
 * :func:`sweep_diff_threshold` — the 2% DIFFtotal label threshold vs
   positive share and model success;
-* :func:`sweep_vectorization` — MFACT multi-config replay vs one replay
-  per configuration;
+* :func:`sweep_vectorization` — MFACT's sweep priced off one recorded
+  replay's tape vs one replay per configuration;
 * :func:`sweep_sensitivity_features` — the need-for-simulation model
   with vs without the zero-replay sensitivity features
   (``lat_tolerance``, ``bw_sensitivity``, ``critical_path_frac``).
@@ -20,6 +20,7 @@ modules, the CLI and notebooks can share one implementation:
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.core.pipeline import StudyRecord
 from repro.machines.config import MachineConfig
 from repro.mfact.hockney import ConfigGrid
 from repro.mfact.logical_clock import LogicalClockReplay
+from repro.sensitivity.analysis import price_grid
 from repro.sim.mpi_replay import SimReplay
 from repro.stats.mccv import monte_carlo_cv
 from repro.trace.features import SENSITIVITY_FEATURE_NAMES
@@ -132,16 +134,26 @@ def sweep_diff_threshold(
 def sweep_vectorization(
     trace: TraceSet, machine: MachineConfig, grid: Optional[ConfigGrid] = None
 ) -> Dict[str, float]:
-    """MFACT's one-replay-many-configs design vs per-config replays."""
+    """MFACT's one-replay-many-configs design vs per-config replays.
+
+    The one-replay side is MFACT's own
+    (:func:`~repro.sensitivity.analysis.price_grid`); ``grid``'s
+    baseline must be the machine's own configuration.
+    """
     grid = grid if grid is not None else ConfigGrid.sweep(machine)
     t0 = time.perf_counter()
-    vector = LogicalClockReplay(trace, machine, grid).run().total_time
+    vector = price_grid(trace, machine, grid)[2].total_time
     t_vector = time.perf_counter() - t0
     t0 = time.perf_counter()
     scalar = []
     for i in range(len(grid)):
-        single = ConfigGrid([grid.latency[i]], [grid.bandwidth[i]], [grid.compute_scale[i]])
-        scalar.append(LogicalClockReplay(trace, machine, single).run().total_time[0])
+        point = replace(
+            machine,
+            latency=float(grid.latency[i]),
+            bandwidth=float(grid.bandwidth[i]),
+            compute_scale=float(grid.compute_scale[i]),
+        )
+        scalar.append(LogicalClockReplay(trace, point).run().baseline_total_time)
     t_scalar = time.perf_counter() - t0
     return {
         "configs": float(len(grid)),

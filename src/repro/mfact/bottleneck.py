@@ -2,10 +2,10 @@
 
 MFACT "gauges the potential benefits of various networking options and
 predicts potential application performance bottlenecks" (Section IV-A).
-This module turns a finished replay into an actionable breakdown: where
-each rank's time goes, which ranks straggle, and the headroom from
-idealized upgrades (infinite bandwidth / zero latency / perfect
-balance).
+This module turns one replay into an actionable breakdown: where each
+rank's time goes, which ranks straggle, and the headroom from idealized
+upgrades (faster bandwidth / lower latency / perfect balance), with the
+upgraded totals priced off the replay's recorded tape.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.machines.config import MachineConfig
 from repro.mfact.hockney import ConfigGrid
-from repro.mfact.logical_clock import LogicalClockReplay
 from repro.trace.trace import TraceSet
 
 __all__ = ["RankBreakdown", "BottleneckReport", "analyze_bottlenecks"]
@@ -106,31 +105,26 @@ class BottleneckReport:
 def analyze_bottlenecks(
     trace: TraceSet, machine: MachineConfig, upgrade_factor: float = 8.0
 ) -> BottleneckReport:
-    """Run one replay and produce the bottleneck report.
+    """Run one recorded replay and produce the bottleneck report.
 
     ``upgrade_factor`` sizes the hypothetical network upgrades used for
     headroom estimates (paper's classification uses 8x).
     """
     if upgrade_factor <= 1.0:
         raise ValueError("upgrade_factor must exceed 1")
+    # Imported here: repro.sensitivity builds on repro.mfact.
+    from repro.sensitivity.analysis import price_grid
+
     grid = ConfigGrid.sweep(
         machine,
         bw_factors=(1.0, upgrade_factor),
         lat_factors=(1.0, upgrade_factor),
     )
-    replay = LogicalClockReplay(trace, machine, grid)
-    report = replay.run()
-    base = grid.baseline
-    counters = replay.counters
+    replay, _, report = price_grid(trace, machine, grid)
+    c = replay.counters
     ranks = [
-        RankBreakdown(
-            rank=r,
-            total=float(replay.clk[r, base]),
-            compute=float(counters.compute[r, base]),
-            latency=float(counters.latency[r, base]),
-            bandwidth=float(counters.bandwidth[r, base]),
-            wait=float(counters.wait[r, base]),
-        )
+        RankBreakdown(rank=r, total=replay.clk[r], compute=c.compute[r],
+                      latency=c.latency[r], bandwidth=c.bandwidth[r], wait=c.wait[r])
         for r in range(trace.nranks)
     ]
     baseline_time = report.baseline_total_time

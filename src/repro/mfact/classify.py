@@ -21,7 +21,6 @@ from enum import Enum
 import numpy as np
 
 from repro.machines.config import MachineConfig
-from repro.mfact.counters import CounterSet
 from repro.mfact.hockney import ConfigGrid
 
 __all__ = [
@@ -102,13 +101,13 @@ def is_communication_sensitive(
 
 
 def classify(
-    trace,
     machine: MachineConfig,
     grid: ConfigGrid,
     total_time: np.ndarray,
-    counters: CounterSet,
+    mean_wait: float,
 ) -> AppClass:
-    """Assign the 5-way MFACT class from one replay's outputs."""
+    """Assign the 5-way MFACT class from the totals over ``grid`` and the
+    rank-mean wait counter at the baseline configuration."""
     s_bw = bandwidth_sensitivity(machine, grid, total_time)
     s_lat = latency_sensitivity(machine, grid, total_time)
     bw_bound = s_bw > SENSITIVITY_THRESHOLD
@@ -119,10 +118,8 @@ def classify(
         return AppClass.BANDWIDTH_BOUND
     if lat_bound:
         return AppClass.LATENCY_BOUND
-    base = grid.baseline
-    total = float(total_time[base])
-    # Use the slowest rank's perspective: imbalance shows up as waiting.
-    mean_wait = float(counters.wait[:, base].mean())
+    total = float(total_time[grid.baseline])
+    # Imbalance shows up as waiting.
     if total > 0 and mean_wait / total > LOAD_IMBALANCE_WAIT_FRACTION:
         return AppClass.LOAD_IMBALANCE_BOUND
     return AppClass.COMPUTATION_BOUND

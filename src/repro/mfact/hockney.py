@@ -2,12 +2,12 @@
 
 MFACT characterizes the communication subsystem by two parameters,
 latency ``alpha`` and bandwidth ``B`` (Hockney's model): a message of
-``m`` bytes costs ``alpha + m / B``.  Its signature feature is replaying
-one trace while maintaining logical clocks for *many* network
-configurations concurrently; :class:`ConfigGrid` is that set of
-configurations, stored as parallel numpy arrays so every clock update of
-a sweep is one vectorized expression (a one-configuration grid replays
-on plain floats).
+``m`` bytes costs ``alpha + m / B``.  Its signature feature is pricing
+*many* network configurations from one trace replay; :class:`ConfigGrid`
+is that set of configurations, stored as parallel numpy arrays.  The
+replay runs once at the machine's own configuration and records a
+max-plus tape, which prices the whole grid in one batched pass
+(:meth:`repro.sensitivity.graph.DependencyGraph.evaluate`).
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from repro.util.validation import require
 
 __all__ = ["ConfigGrid", "DEFAULT_BW_FACTORS", "DEFAULT_LAT_FACTORS", "p2p_time"]
 
-#: Default bandwidth scaling factors explored in one replay (x1/8 ... x8).
+#: Default bandwidth scaling factors of the MFACT sweep (x1/8 ... x8).
 DEFAULT_BW_FACTORS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-#: Default latency scaling factors explored in one replay.
+#: Default latency scaling factors of the MFACT sweep.
 DEFAULT_LAT_FACTORS = (0.125, 1.0, 8.0)
 
 
 class ConfigGrid:
-    """A family of network configurations evaluated in one replay.
+    """A family of network configurations priced off one replay's tape.
 
     Attributes
     ----------

@@ -1,11 +1,15 @@
 """MFACT's logical-clock trace replay engine.
 
-The engine replays a trace once while maintaining, for every rank, one
-Lamport-style logical clock **per network configuration** (an extension
-of Lamport's scheme with non-unit computation and communication times,
-Section IV-A).  Clocks are numpy rows over the :class:`ConfigGrid`
-(plain floats when the grid holds one configuration), so a single
-replay prices the application on every configuration.
+The engine replays a trace once at one network configuration, the
+machine's own, while maintaining one Lamport-style logical clock per
+rank (an extension of Lamport's scheme with non-unit computation and
+communication times, Section IV-A).  Clocks and counters are plain
+floats.  MFACT's "many configurations from one replay" comes from the
+recorder: the replay logs its happens-before structure as a max-plus
+tape, and :func:`repro.sensitivity.analysis.record_graph` prices the
+whole configuration sweep off that tape.  A replay at another
+configuration passes ``dataclasses.replace(machine, latency=...,
+bandwidth=..., compute_scale=...)``.
 
 Semantics
 ---------
@@ -28,17 +32,15 @@ sends match posted receives FIFO.
 An optional ``recorder`` (duck-typed; see
 :class:`repro.sensitivity.graph.GraphRecorder`) observes every clock
 update through ``on_*`` hooks, turning one replay into a reusable
-max-plus dependency graph for zero-replay sensitivity analytics.  With
-``recorder=None`` (the default) the hooks cost one predicate per op.
+max-plus dependency graph.  With ``recorder=None`` (the default) the
+hooks cost one predicate per op.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.collectives.cost_models import collective_cost
@@ -84,68 +86,40 @@ class _Channel:
     __slots__ = ("messages", "slots")
 
     def __init__(self):
-        self.messages: Deque[Any] = deque()  # availability clocks
+        self.messages: Deque[float] = deque()  # availability clocks
         self.slots: Deque[Tuple[str, int]] = deque()  # ("recv", rank) | ("irecv", req)
 
 
 class LogicalClockReplay:
-    """One MFACT replay of a trace on a machine over a configuration grid.
+    """One MFACT replay of a trace at the machine's own configuration.
 
     Per-rank state (clock, NIC serialization horizons, the four counters)
-    lives in plain lists with one value per rank: a Python float when
-    the grid has one configuration, a 1-D numpy row over the grid
-    otherwise.  Values are never updated in place, only rebound
-    (``c[r] = c[r] + x``), so a stored value is its own snapshot.
-    :meth:`run` stacks the lists into the ``(nranks, nconfigs)``
-    :attr:`clk` and :attr:`counters` arrays at the end.
+    lives in plain lists with one float per rank.  After :meth:`run`,
+    :attr:`clk` holds each rank's final clock and :attr:`counters` its
+    counters.
     """
 
-    def __init__(
-        self,
-        trace: TraceSet,
-        machine: MachineConfig,
-        grid: Optional[ConfigGrid] = None,
-        recorder=None,
-    ):
+    def __init__(self, trace: TraceSet, machine: MachineConfig, recorder=None):
         self.trace = trace
         self.machine = machine
-        self.grid = grid if grid is not None else ConfigGrid.sweep(machine)
         self._rec = recorder
         n = trace.nranks
-        k = len(self.grid)
-        inv_bw = 1.0 / self.grid.bandwidth
-        if k == 1:
-            # One configuration: float arithmetic and builtin max/min
-            # cost ~10 ns where a numpy call on a length-1 row costs ~1 us.
-            self._lat = float(self.grid.latency[0])
-            self._inv_bw = float(inv_bw[0])
-            self._scale = float(self.grid.compute_scale[0])
-            self._max, self._min = max, min
-            zero = 0.0
-        else:
-            self._lat = self.grid.latency.copy()
-            self._inv_bw = inv_bw
-            self._scale = self.grid.compute_scale.copy()
-            self._max, self._min = np.maximum, np.minimum
-            zero = np.zeros(k)
+        self._lat = float(machine.latency)
+        self._inv_bw = 1.0 / machine.bandwidth
+        self._scale = float(machine.compute_scale)
         self._overhead = machine.software_overhead
-        self._clk = [zero] * n
-        self._inj = [zero] * n  # per-rank outgoing NIC serialization
-        self._ej = [zero] * n  # per-rank incoming NIC serialization
-        self._compute = [zero] * n
-        self._latency = [zero] * n
-        self._bandwidth = [zero] * n
-        self._wait = [zero] * n
-        self.clk = np.zeros((n, k))
-        self.counters = CounterSet(n, k)
+        self.counters = CounterSet(n)
+        self.clk: List[float] = [0.0] * n
+        self._inj = [0.0] * n  # per-rank outgoing NIC serialization
+        self._ej = [0.0] * n  # per-rank incoming NIC serialization
         self._ip = [0] * n
         self._channels: Dict[Tuple[int, int, int], _Channel] = {}
         # Per-rank request table:
         # req id -> ("isend", None, 0) | ("irecv", avail-or-None, nbytes)
-        self._requests: List[Dict[int, Tuple[str, Any, int]]] = [{} for _ in range(n)]
+        self._requests: List[Dict[int, Tuple[str, Optional[float], int]]] = [{} for _ in range(n)]
         self._blocked: List[Optional[Tuple]] = [None] * n  # why a rank is parked
         # Collective rendezvous: (comm, instance) -> {rank: clock at arrival}
-        self._coll_counts: Dict[Tuple[int, int], Dict[int, Any]] = {}
+        self._coll_counts: Dict[Tuple[int, int], Dict[int, float]] = {}
         self._coll_instance: List[Dict[int, int]] = [dict() for _ in range(n)]
         self._runnable: Deque[int] = deque()
         self._queued = [False] * n
@@ -166,7 +140,7 @@ class LogicalClockReplay:
 
     # -- message completion ------------------------------------------------
 
-    def _complete_recv(self, rank: int, avail, nbytes: int) -> None:
+    def _complete_recv(self, rank: int, avail: float, nbytes: int) -> None:
         """Advance ``rank``'s clock past a message and attribute counters.
 
         ``avail`` is the fully-injected time at the sender (the Hockney
@@ -174,26 +148,24 @@ class LogicalClockReplay:
         latency ``alpha``.  The clock advance is decomposed into the
         wait / latency / bandwidth counters for sensitivity tracking.
         """
-        mx, mn = self._max, self._min
-        ready = self._clk[rank] + self._overhead
+        ready = self.clk[rank] + self._overhead
         bw_term = nbytes * self._inv_bw
         # The payload drains serially through the receiving rank's NIC:
         # ``avail`` carries the header-at-receiver time (injection start
         # plus wire latency was added by the sender).
-        arrived = mx(avail, self._ej[rank]) + bw_term
+        arrived = max(avail, self._ej[rank]) + bw_term
         self._ej[rank] = arrived
-        new = mx(ready, arrived)
+        new = max(ready, arrived)
         delta = new - ready
-        bw_part = mn(delta, bw_term)
-        lat_part = mn(mx(delta - bw_term, 0.0), self._lat)
-        wait_part = delta - bw_part - lat_part
-        bw, lat, wait = self._bandwidth, self._latency, self._wait
-        bw[rank] = bw[rank] + bw_part
-        lat[rank] = lat[rank] + lat_part
-        wait[rank] = wait[rank] + wait_part
-        self._clk[rank] = new
+        bw_part = min(delta, bw_term)
+        lat_part = min(max(delta - bw_term, 0.0), self._lat)
+        c = self.counters
+        c.bandwidth[rank] += bw_part
+        c.latency[rank] += lat_part
+        c.wait[rank] += delta - bw_part - lat_part
+        self.clk[rank] = new
 
-    def _deliver(self, src: int, dst: int, tag: int, avail, nbytes: int) -> None:
+    def _deliver(self, src: int, dst: int, tag: int, avail: float, nbytes: int) -> None:
         """A send became available; match it or queue it."""
         chan = self._channel(src, dst, tag)
         if chan.slots:
@@ -231,7 +203,7 @@ class LogicalClockReplay:
         inst = self._coll_instance[rank].get(op.comm, 0)
         key = (op.comm, inst)
         arrived = self._coll_counts.setdefault(key, {})
-        arrived[rank] = self._clk[rank]
+        arrived[rank] = self.clk[rank]
         if len(arrived) < len(members):
             self._blocked[rank] = ("coll", key)
             return False
@@ -245,26 +217,24 @@ class LogicalClockReplay:
                 self._wake(r)
         return True
 
-    def _fire_collective(self, op, members, arrived: Dict[int, Any]) -> None:
+    def _fire_collective(self, op, members, arrived: Dict[int, float]) -> None:
         p = len(members)
         cost = collective_cost(op.kind, p, op.nbytes)
         o = self._overhead
-        mx, mn = self._max, self._min
         lat_share = cost.alpha_count * self._lat
         bw_share = cost.bytes_on_wire * self._inv_bw
         total = lat_share + bw_share
-        clk, lat, bw, wait = self._clk, self._latency, self._bandwidth, self._wait
+        c = self.counters
+        clk, lat, bw, wait = self.clk, c.latency, c.bandwidth, c.wait
         if self._rec is not None:
             self._rec.on_collective(
                 op.kind, members, op.peer, op.nbytes, cost.alpha_count, cost.bytes_on_wire
             )
         if op.kind in _SYNC_COLLECTIVES:
-            peak = None
-            for value in arrived.values():
-                peak = value if peak is None else mx(peak, value)
+            peak = max(arrived.values())
             for r in members:
                 start = arrived[r] + o
-                done = mx(peak + o, start) + total
+                done = max(peak + o, start) + total
                 wait[r] = wait[r] + (done - start - total)
                 lat[r] = lat[r] + lat_share
                 bw[r] = bw[r] + bw_share
@@ -280,10 +250,10 @@ class LogicalClockReplay:
                     lat[r] = lat[r] + lat_share
                     bw[r] = bw[r] + bw_share
                 else:
-                    done = mx(start, root_done)
+                    done = max(start, root_done)
                     delta = done - start
-                    bw_part = mn(delta, bw_share)
-                    lat_part = mn(mx(delta - bw_share, 0.0), lat_share)
+                    bw_part = min(delta, bw_share)
+                    lat_part = min(max(delta - bw_share, 0.0), lat_share)
                     bw[r] = bw[r] + bw_part
                     lat[r] = lat[r] + lat_part
                     wait[r] = wait[r] + (delta - bw_part - lat_part)
@@ -292,13 +262,11 @@ class LogicalClockReplay:
         # REDUCE / GATHER: root completes after everyone plus the tree cost;
         # non-roots leave after contributing their own single message.
         own = self._lat + op.nbytes * self._inv_bw
-        peak = None
-        for value in arrived.values():
-            peak = value if peak is None else mx(peak, value)
+        peak = max(arrived.values())
         for r in members:
             start = arrived[r] + o
             if r == root:
-                done = mx(peak + o, start) + total
+                done = max(peak + o, start) + total
                 wait[r] = wait[r] + (done - start - total)
                 lat[r] = lat[r] + lat_share
                 bw[r] = bw[r] + bw_share
@@ -355,12 +323,11 @@ class LogicalClockReplay:
         op = ops[self._ip[rank]]
         kind = op.kind
         o = self._overhead
-        clk = self._clk
+        clk = self.clk
         if kind == _COMPUTE:
             work = op.duration * self._scale
-            clk[rank] = clk[rank] + work
-            comp = self._compute
-            comp[rank] = comp[rank] + work
+            clk[rank] += work
+            self.counters.compute[rank] += work
             if self._rec is not None:
                 self._rec.on_compute(rank, op.duration)
         elif kind == _SEND:
@@ -368,12 +335,12 @@ class LogicalClockReplay:
             # send returns once the payload is fully injected.
             bw_term = op.nbytes * self._inv_bw
             start = clk[rank] + o
-            inj_start = self._max(self._inj[rank], start)
+            inj_start = max(self._inj[rank], start)
             inj_done = inj_start + bw_term
             self._inj[rank] = inj_done
-            bw, wait = self._bandwidth, self._wait
-            bw[rank] = bw[rank] + bw_term
-            wait[rank] = wait[rank] + (inj_start - start)
+            c = self.counters
+            c.bandwidth[rank] += bw_term
+            c.wait[rank] += inj_start - start
             clk[rank] = inj_done
             if self._rec is not None:
                 self._rec.on_send(rank, op.peer, op.tag, op.nbytes, blocking=True)
@@ -383,7 +350,7 @@ class LogicalClockReplay:
         elif kind == _ISEND:
             # Injection overlaps with local progress; only overhead is paid.
             bw_term = op.nbytes * self._inv_bw
-            inj_start = self._max(self._inj[rank], clk[rank] + o)
+            inj_start = max(self._inj[rank], clk[rank] + o)
             self._inj[rank] = inj_start + bw_term
             clk[rank] = clk[rank] + o
             self._requests[rank][op.req] = ("isend", None, 0)
@@ -441,52 +408,36 @@ class LogicalClockReplay:
         self._ip[rank] += 1
         return True
 
-    def _stack(self) -> None:
-        """Copy the per-rank values into the ``(nranks, nconfigs)`` arrays."""
-        c = self.counters
-        for dest, values in (
-            (self.clk, self._clk),
-            (c.compute, self._compute),
-            (c.latency, self._latency),
-            (c.bandwidth, self._bandwidth),
-            (c.wait, self._wait),
-        ):
-            dest[...] = np.reshape(values, dest.shape)
-
     def run(self) -> MFACTReport:
-        """Replay the whole trace and assemble the report."""
-        with obs.span("mfact"):
+        """Replay the whole trace; report at the machine's configuration."""
+        with obs.span("replay"):
             start = time.perf_counter()
             n = self.trace.nranks
             lengths = [len(ops) for ops in self.trace.ranks]
             steps = 0
-            with obs.span("replay"):
-                for rank in range(n):
-                    self._wake(rank)
-                done = [False] * n
-                remaining = n
-                while self._runnable:
-                    rank = self._runnable.popleft()
-                    self._queued[rank] = False
-                    if done[rank] or self._blocked[rank] is not None:
-                        continue
-                    while self._ip[rank] < lengths[rank]:
-                        steps += 1
-                        if not self._step(rank):
-                            break
-                    if self._ip[rank] >= lengths[rank] and not done[rank]:
-                        done[rank] = True
-                        remaining -= 1
-                if remaining:
-                    stuck = [r for r in range(n) if not done[r]]
-                    raise ReplayDeadlockError(self._deadlock_message(stuck))
-                self._stack()
+            for rank in range(n):
+                self._wake(rank)
+            done = [False] * n
+            remaining = n
+            while self._runnable:
+                rank = self._runnable.popleft()
+                self._queued[rank] = False
+                if done[rank] or self._blocked[rank] is not None:
+                    continue
+                while self._ip[rank] < lengths[rank]:
+                    steps += 1
+                    if not self._step(rank):
+                        break
+                if self._ip[rank] >= lengths[rank] and not done[rank]:
+                    done[rank] = True
+                    remaining -= 1
+            if remaining:
+                stuck = [r for r in range(n) if not done[r]]
+                raise ReplayDeadlockError(self._deadlock_message(stuck))
             if obs.enabled():
                 obs.counter("repro_mfact_steps_total").inc(steps)
                 obs.counter("repro_mfact_replays_total").inc()
-            walltime = time.perf_counter() - start
-            with obs.span("report"):
-                return MFACTReport.from_replay(self, walltime)
+            return MFACTReport.from_replay(self, time.perf_counter() - start)
 
 
 def model_trace(
@@ -494,18 +445,24 @@ def model_trace(
     machine: MachineConfig,
     grid: Optional[ConfigGrid] = None,
 ) -> MFACTReport:
-    """Convenience wrapper: replay ``trace`` on ``machine`` and report.
+    """MFACT's report for ``trace`` on ``machine``.
 
-    With the default grid the report is the trace model's
-    (:func:`repro.sensitivity.analysis.trace_model`): the replay also
-    records the dependency graph, and later sensitivity and what-if
+    The report is the trace model's
+    (:func:`repro.sensitivity.analysis.trace_model`): one replay at the
+    machine's configuration records the dependency graph and prices
+    :meth:`ConfigGrid.sweep` off it, and later sensitivity and what-if
     queries on the same trace content reuse it instead of replaying.
     The returned report is then shared; do not mutate it.  An explicit
-    ``grid`` replays on that grid, outside the shared model.
+    ``grid``, whose baseline must be the machine's own configuration,
+    is priced off the same model's tape; its walltime adds that pricing
+    to the model's.
     """
-    if grid is None:
-        # Imported here: repro.sensitivity builds on this module.
-        from repro.sensitivity.analysis import trace_model
+    # Imported here: repro.sensitivity builds on this module.
+    from repro.sensitivity.analysis import trace_model
 
-        return trace_model(trace, machine)[1]
-    return LogicalClockReplay(trace, machine, grid).run()
+    graph, report = trace_model(trace, machine)
+    if grid is None:
+        return report
+    start = time.perf_counter()
+    totals = graph.evaluate(grid.latency, grid.bandwidth, grid.compute_scale)
+    return report.priced(machine, grid, totals, report.walltime + time.perf_counter() - start)

@@ -18,7 +18,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.machines.config import MachineConfig
-from repro.mfact.hockney import ConfigGrid
 from repro.mfact.logical_clock import LogicalClockReplay
 from repro.trace.trace import TraceSet
 
@@ -57,10 +56,9 @@ class ScalingFit:
 
 def _decompose(trace: TraceSet, machine: MachineConfig) -> Tuple[float, float]:
     """(compute on critical path, communication share) via one replay."""
-    replay = LogicalClockReplay(trace, machine, ConfigGrid.single(machine))
-    report = replay.run()
-    total = report.baseline_total_time
-    compute = float(replay.counters.compute[:, 0].max())
+    replay = LogicalClockReplay(trace, machine)
+    total = replay.run().baseline_total_time
+    compute = max(replay.counters.compute)
     return compute, max(0.0, total - compute)
 
 

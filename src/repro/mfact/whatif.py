@@ -10,9 +10,9 @@ meeting a target.
 
 Every grid point is priced by evaluating the max-plus dependency graph
 of the trace model (:func:`repro.sensitivity.analysis.trace_model`) —
-the graph recorded by the MFACT sweep replay itself, so a trace that
-was already modeled or analyzed pays no replay at all.  It agrees with
-a replay per compute factor (the oracle in
+the graph recorded by the MFACT replay itself, so a trace that was
+already modeled or analyzed pays no replay at all.  It agrees with a
+replay per grid point (the oracle in
 ``tests/test_sensitivity_differential.py``) within the package's
 documented ``1e-6`` relative band; that suite asserts ``1e-9`` on the
 mini-corpus.

@@ -22,9 +22,9 @@ This package provides that layer (ROADMAP item 3, LLAMP-style):
   and :meth:`~repro.sensitivity.graph.DependencyGraph.critical_path`
   backtracks the binding chain and decomposes it by cost component.
 * :mod:`~repro.sensitivity.analysis` — the trace model
-  (:func:`~repro.sensitivity.analysis.record_graph`: the MFACT sweep
-  replay with a recorder attached, so one replay yields both the MFACT
-  report and the graph; :func:`~repro.sensitivity.analysis.trace_model`
+  (:func:`~repro.sensitivity.analysis.record_graph`: the MFACT replay
+  with a recorder attached, so one replay yields the graph and, priced
+  off it, the MFACT sweep report; :func:`~repro.sensitivity.analysis.trace_model`
   shares it between the queries on one trace content), latency-
   tolerance and bandwidth-sensitivity curves, tolerance thresholds and
   the ``lat_tolerance`` / ``bw_sensitivity`` / ``critical_path_frac``

@@ -2,7 +2,7 @@
 
 One recorded replay yields a :class:`~repro.sensitivity.graph.DependencyGraph`;
 everything here is pure tape evaluation — thousands of what-if points
-for the cost of that single replay, which is MFACT's own sweep replay
+for the cost of that single replay, which is MFACT's own replay
 (:func:`record_graph`, shared between queries by :func:`trace_model`):
 
 * :func:`latency_curve` / :func:`bandwidth_curve` — predicted totals as
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -70,6 +71,7 @@ __all__ = [
     "bandwidth_curve",
     "latency_curve",
     "latency_tolerance",
+    "price_grid",
     "record_graph",
     "trace_model",
 ]
@@ -94,27 +96,46 @@ _NEWTON_MAX_STEPS = 64
 _NEWTON_SLACK = 1e-12
 
 
-def record_graph(
-    trace: TraceSet, machine: MachineConfig
-) -> Tuple[DependencyGraph, MFACTReport]:
-    """The trace model: one MFACT sweep replay with a recorder attached.
+def price_grid(
+    trace: TraceSet, machine: MachineConfig, grid: ConfigGrid
+) -> Tuple[LogicalClockReplay, DependencyGraph, MFACTReport]:
+    """One MFACT replay, its tape, and ``grid`` priced off the tape.
 
-    Returns the sealed graph and the ordinary MFACT report of that
-    replay (:meth:`ConfigGrid.sweep` grid, the default of
-    :func:`~repro.mfact.logical_clock.model_trace`).  The recorder's
-    hooks are structural, so the graph does not depend on the grid.
-    No memo: each call replays (see :func:`trace_model`).
+    Replays ``trace`` once at the machine's own configuration (``grid``'s
+    baseline) with a recorder attached, seals the graph, and prices
+    ``grid`` with :meth:`DependencyGraph.evaluate`.  The report's
+    baseline total, communication time, counters and per-rank totals
+    are the replay's; the other totals, and from them the class and
+    ``cs`` decisions, are the tape's.  Its ``walltime`` covers all three
+    steps (span ``mfact``: ``replay``, ``sensitivity_graph``,
+    ``sensitivity_solve``).  The finished replay is returned for its
+    per-rank counters.
     """
-    recorder = GraphRecorder(trace.nranks, machine)
-    report = LogicalClockReplay(
-        trace, machine, ConfigGrid.sweep(machine), recorder=recorder
-    ).run()
-    with obs.span("sensitivity_graph"):  # sealing: arrays and levels
-        graph = recorder.finish()
+    with obs.span("mfact"):
+        start = time.perf_counter()
+        recorder = GraphRecorder(trace.nranks, machine)
+        replay = LogicalClockReplay(trace, machine, recorder=recorder)
+        report = replay.run()
+        with obs.span("sensitivity_graph"):  # sealing: arrays and levels
+            graph = recorder.finish()
+        totals = graph.evaluate(grid.latency, grid.bandwidth, grid.compute_scale)
+        report = report.priced(machine, grid, totals, time.perf_counter() - start)
     if obs.enabled():
         obs.counter("repro_sensitivity_graphs_total").inc()
         obs.counter("repro_sensitivity_nodes_total").inc(graph.n_nodes)
         obs.counter("repro_sensitivity_edges_total").inc(graph.n_edges)
+    return replay, graph, report
+
+
+def record_graph(
+    trace: TraceSet, machine: MachineConfig
+) -> Tuple[DependencyGraph, MFACTReport]:
+    """The trace model: the graph and MFACT's :meth:`ConfigGrid.sweep`
+    report of one :func:`price_grid` replay.
+
+    No memo: each call replays (see :func:`trace_model`).
+    """
+    _, graph, report = price_grid(trace, machine, ConfigGrid.sweep(machine))
     return graph, report
 
 

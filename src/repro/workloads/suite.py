@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.machines.presets import get_machine
-from repro.mfact.hockney import ConfigGrid
 from repro.mfact.logical_clock import LogicalClockReplay
 from repro.trace.trace import TraceSet
 from repro.util.rng import DEFAULT_SEED
@@ -340,7 +339,7 @@ def build_trace(spec: TraceSpec, max_retries: int = 2) -> TraceSet:
             program = _program(spec)
         with obs.span("calibrate"):
             bare = program.trace
-            report = LogicalClockReplay(bare, machine, ConfigGrid.single(machine)).run()
+            report = LogicalClockReplay(bare, machine).run()
         comm_time = max(report.baseline_total_time, 1e-9)
         f = min(0.97, max(0.005, spec.comm_target))
         compute_per_iter = comm_time * (1.0 - f) / f / bare.metadata["iters"]

@@ -18,6 +18,7 @@ and is a bug, full stop.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,11 @@ GOLDEN = {
         "21cd3876330b8f885874ddec9dad50515f2bdea283210f94874e881921310b9c",
     ),
 }
+
+
+#: The studybench ``cold-mini`` goldens: every canonical-record digest of
+#: the 24-spec mini study at the file's seed (read only here).
+COLD_MINI = Path(__file__).resolve().parent.parent / "studybench" / "golden" / "cold-mini.json"
 
 
 def record_digest(record) -> str:
@@ -83,3 +89,16 @@ def test_golden_records_identical_in_both_sim_modes(index):
         assert record_digest(record) == GOLDEN[index][1], (
             f"{spec.name}: {side} diverged from the golden hash"
         )
+
+
+def test_cold_mini_records_match_studybench_goldens():
+    """All 24 mini-study records, not only the three pinned above: a
+    change that moves the last bits of a few records (a rank mean
+    summed in another order, say) cannot hide behind the sample."""
+    golden = json.loads(COLD_MINI.read_text())
+    specs = mini_corpus_specs(count=len(golden["full"]), seed=golden["seed"])
+    digests = {
+        spec.name: record_digest(measure_trace(build_trace(spec), spec_index=spec.index))
+        for spec in specs
+    }
+    assert digests == golden["full"]

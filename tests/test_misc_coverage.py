@@ -119,7 +119,7 @@ class TestSendSemantics:
     def test_compute_scale_in_grid(self):
         trace = TraceSet("t", "T", [[make_compute(1.0)]])
         grid = ConfigGrid([CIELITO.latency] * 3, [CIELITO.bandwidth] * 3,
-                          compute_scale=[0.5, 1.0, 2.0])
+                          compute_scale=[0.5, 1.0, 2.0], baseline=1)
         report = model_trace(trace, CIELITO, grid)
         assert report.total_time[0] == pytest.approx(0.5)
         assert report.total_time[2] == pytest.approx(2.0)

@@ -23,7 +23,6 @@ import pytest
 
 from repro import obs
 from repro.machines.presets import get_machine
-from repro.mfact.hockney import ConfigGrid
 from repro.mfact.logical_clock import LogicalClockReplay
 from repro.trace.binary import dumps_binary
 from repro.trace.trace import TraceSet
@@ -187,7 +186,7 @@ def oracle_build_trace(spec, max_retries=2):
     bare.metadata["mapping"] = spec.mapping
     bare.metadata["mapping_seed"] = spec.seed
     niters = bare.metadata["iters"]
-    report = LogicalClockReplay(bare, machine, ConfigGrid.single(machine)).run()
+    report = LogicalClockReplay(bare, machine).run()
     comm_time = max(report.baseline_total_time, 1e-9)
     f = min(0.97, max(0.005, spec.comm_target))
     compute_per_iter = comm_time * (1.0 - f) / f / niters

@@ -1,15 +1,25 @@
-"""Scalar logical clocks against the 2-D in-place reference replay.
+"""The one-configuration replay and its tape against the lane replay.
 
-:class:`~repro.mfact.logical_clock.LogicalClockReplay` keeps each rank's
-clock, NIC horizons and counters as one value per rank (a float on a
-one-configuration grid, a 1-D row on a sweep) and rebinds them instead
-of updating in place.  The oracle below is the replay it replaced:
-``(nranks, nconfigs)`` arrays updated in place, ``np.clip`` for the
-latency share and copied collective snapshots.  Both run the same
-operations in the same order, so every output must agree bit for bit.
+:class:`~repro.mfact.logical_clock.LogicalClockReplay` replays at one
+configuration, the machine's own, on plain floats, and MFACT's sweep is
+priced off the tape its recorder builds
+(:func:`~repro.sensitivity.analysis.record_graph`).  The oracle below is
+the replay that priced a grid before: ``(nranks, nconfigs)`` arrays
+updated in place, one lane per configuration, ``np.clip`` for the
+latency share and copied collective snapshots.
+
+* Each oracle lane runs the same operations in the same order as a
+  production replay at that lane's configuration, so clocks, counters,
+  the rank means, the deadlock text and the recorded graph must agree
+  bit for bit.
+* The record-facing report fields (baseline total, comm time and
+  counters, per-rank totals, class and ``cs``) must equal the lane
+  report's bit for bit.  The other totals of the grid come off the
+  tape, which agrees with the lanes within ``1e-12`` relative.
 """
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +28,9 @@ from hypothesis import given, settings
 from repro.collectives.cost_models import collective_cost
 from repro.machines import CIELITO
 from repro.machines.presets import get_machine
-from repro.mfact import ConfigGrid, LogicalClockReplay, ReplayDeadlockError
-from repro.mfact.counters import CounterSet
-from repro.mfact.report import MFACTReport
+from repro.mfact import ConfigGrid, LogicalClockReplay, ReplayDeadlockError, model_trace
+from repro.mfact.classify import classify, is_communication_sensitive
+from repro.sensitivity.analysis import record_graph
 from repro.sensitivity.graph import GraphRecorder
 from repro.trace.events import OpKind
 from repro.util.rng import DEFAULT_SEED
@@ -32,6 +42,16 @@ from tests.test_property_based import ring_trace_strategy
 _SYNC = frozenset(
     {OpKind.BARRIER, OpKind.ALLREDUCE, OpKind.ALLGATHER, OpKind.ALLTOALL, OpKind.REDUCE_SCATTER}
 )
+
+COUNTERS = ("compute", "latency", "bandwidth", "wait")
+
+
+class LaneCounters:
+    """The four counters as ``(nranks, nconfigs)`` arrays."""
+
+    def __init__(self, n, k):
+        for name in COUNTERS:
+            setattr(self, name, np.zeros((n, k)))
 
 
 class OracleReplay:
@@ -47,7 +67,7 @@ class OracleReplay:
         self.clk = np.zeros((n, k))
         self._inj = np.zeros((n, k))
         self._ej = np.zeros((n, k))
-        self.counters = CounterSet(n, k)
+        self.counters = LaneCounters(n, k)
         self._ip = [0] * n
         self._channels = {}
         self._requests = [{} for _ in range(n)]
@@ -276,7 +296,6 @@ class OracleReplay:
         stuck = [r for r in range(n) if not done[r]]
         if stuck:
             raise ReplayDeadlockError(self._deadlock_message(stuck))
-        return MFACTReport.from_replay(self, 0.0)
 
 
 GRAPH_ARRAYS = ("pred", "const", "alpha", "nbytes", "compute", "starts", "node_rank")
@@ -287,29 +306,100 @@ def _bits(a):
     return (a.dtype.str, a.shape, a.tobytes())
 
 
-def outcome(replay_cls, trace, machine, grid):
-    """Every replay output as bytes (or the deadlock text)."""
+def _hex(counters):
+    return {name: float(value).hex() for name, value in counters.items()}
+
+
+def graph_bits(graph):
+    return (*(_bits(getattr(graph, name)) for name in GRAPH_ARRAYS), graph.terminal,
+            graph.baseline)
+
+
+def at(machine, grid, i):
+    """The machine at grid configuration ``i``."""
+    return replace(machine, latency=float(grid.latency[i]),
+                   bandwidth=float(grid.bandwidth[i]),
+                   compute_scale=float(grid.compute_scale[i]))
+
+
+def oracle(trace, machine, grid):
+    """One lane replay: (per-lane bytes, graph bytes, lane report), or
+    ``("deadlock", text)``."""
     recorder = GraphRecorder(trace.nranks, machine)
-    replay = replay_cls(trace, machine, grid, recorder=recorder)
+    replay = OracleReplay(trace, machine, grid, recorder=recorder)
     try:
-        report = replay.run()
+        replay.run()
     except ReplayDeadlockError as exc:
         return ("deadlock", str(exc))
-    graph = recorder.finish()
-    c = replay.counters
-    return (
-        _bits(replay.clk),
-        *(_bits(getattr(c, name)) for name in ("compute", "latency", "bandwidth", "wait")),
-        _bits(report.total_time),
-        _bits(report.comm_time),
-        {k: float(v).hex() for k, v in report.baseline_counters.items()},
-        report.classification,
-        report.communication_sensitive,
-        _bits(report.per_rank_total),
-        *(_bits(getattr(graph, name)) for name in GRAPH_ARRAYS),
-        graph.terminal,
-        graph.baseline,
-    )
+    c, clk = replay.counters, replay.clk
+    total = clk.max(axis=0)
+    # The rank mean of comm time is a left fold over ranks, as the
+    # sweep's ``(nranks, 21).mean(axis=0)`` was; records pin those bits.
+    comm = 0.0
+    for row in c.latency + c.bandwidth + c.wait:
+        comm = comm + row
+    comm = comm / trace.nranks
+    means = [{name: float(getattr(c, name)[:, i].mean()) for name in COUNTERS}
+             for i in range(len(grid))]
+    lanes = [
+        (_bits(clk[:, i]), *(_bits(getattr(c, name)[:, i]) for name in COUNTERS),
+         float(total[i]).hex(), float(comm[i]).hex(), _hex(means[i]))
+        for i in range(len(grid))
+    ]
+    base = grid.baseline
+    try:
+        label = classify(machine, grid, total, means[base]["wait"])
+        cs = is_communication_sensitive(machine, grid, total)
+    except KeyError:
+        label, cs = None, False
+    record = (float(total[base]).hex(), float(comm[base]).hex(), _hex(means[base]),
+              _bits(clk[:, base]), label, cs)
+    return lanes, graph_bits(recorder.finish()), (record, total)
+
+
+def per_point(trace, machine, grid):
+    """One production replay per grid configuration, laid out like
+    :func:`oracle`'s lanes; the graph is recorded at the baseline."""
+    recorder = GraphRecorder(trace.nranks, machine)
+    lanes = []
+    try:
+        for i in range(len(grid)):
+            replay = LogicalClockReplay(
+                trace, at(machine, grid, i), recorder=recorder if i == grid.baseline else None
+            )
+            report = replay.run()
+            c = replay.counters
+            lanes.append(
+                (_bits(replay.clk), *(_bits(getattr(c, name)) for name in COUNTERS),
+                 float(report.baseline_total_time).hex(),
+                 float(report.baseline_comm_time).hex(), _hex(report.baseline_counters))
+            )
+    except ReplayDeadlockError as exc:
+        return ("deadlock", str(exc))
+    return lanes, graph_bits(recorder.finish())
+
+
+def priced(trace, machine, grid_name):
+    """The production report on a grid: the record's own trace model for
+    the sweep, ``model_trace``'s tape pricing for the other grids."""
+    if grid_name == "sweep":
+        return record_graph(trace, machine)[1]
+    return model_trace(trace, machine, grids(machine)[grid_name])
+
+
+def check_against_oracle(trace, machine, grid_name):
+    grid = grids(machine)[grid_name]
+    expected = oracle(trace, machine, grid)
+    assert expected[0] != "deadlock"
+    lanes, graph, (record, totals) = expected
+    assert per_point(trace, machine, grid) == (lanes, graph)
+    report = priced(trace, machine, grid_name)
+    assert (
+        float(report.baseline_total_time).hex(), float(report.baseline_comm_time).hex(),
+        _hex(report.baseline_counters), _bits(report.per_rank_total),
+        report.classification, report.communication_sensitive,
+    ) == record
+    np.testing.assert_allclose(report.total_time, totals, rtol=1e-12, atol=0.0)
 
 
 def grids(machine):
@@ -340,19 +430,13 @@ class TestScalarClocksMatchOracle:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
     def test_corpus_bitwise(self, traces, spec, grid_name):
         trace = traces[spec.name]
-        machine = get_machine(trace.machine)
-        grid = grids(machine)[grid_name]
-        expected = outcome(OracleReplay, trace, machine, grid)
-        assert expected[0] != "deadlock"
-        assert outcome(LogicalClockReplay, trace, machine, grid) == expected
+        check_against_oracle(trace, get_machine(trace.machine), grid_name)
 
     @GRIDS
     @given(trace=ring_trace_strategy())
     @settings(max_examples=15, deadline=None)
     def test_ring_traces_bitwise(self, grid_name, trace):
-        grid = grids(CIELITO)[grid_name]
-        expected = outcome(OracleReplay, trace, CIELITO, grid)
-        assert outcome(LogicalClockReplay, trace, CIELITO, grid) == expected
+        check_against_oracle(trace, CIELITO, grid_name)
 
     @GRIDS
     @pytest.mark.parametrize("app,nranks", [("CG", 4), ("MG", 8), ("EP", 2)])
@@ -362,23 +446,17 @@ class TestScalarClocksMatchOracle:
                              ranks_per_node=2)
         bad = inject_defect(trace, kind, seed=11)
         grid = grids(CIELITO)[grid_name]
-        expected = outcome(OracleReplay, bad, CIELITO, grid)
+        expected = oracle(bad, CIELITO, grid)
         assert expected[0] == "deadlock"
-        assert outcome(LogicalClockReplay, bad, CIELITO, grid) == expected
+        assert per_point(bad, CIELITO, grid) == expected
 
 
 class TestValueRepresentation:
     def test_single_grid_holds_floats(self):
         trace = generate_npb("CG", 4, CIELITO, seed=3, compute_per_iter=0.001)
-        replay = LogicalClockReplay(trace, CIELITO, ConfigGrid.single(CIELITO))
+        replay = LogicalClockReplay(trace, CIELITO)
         replay.run()
-        assert all(type(v) is float for v in replay._clk + replay._wait)
-        assert replay.clk.shape == (4, 1)
-
-    def test_sweep_holds_rows(self):
-        trace = generate_npb("CG", 4, CIELITO, seed=3, compute_per_iter=0.001)
-        grid = ConfigGrid.sweep(CIELITO)
-        replay = LogicalClockReplay(trace, CIELITO, grid)
-        replay.run()
-        assert all(v.shape == (len(grid),) for v in replay._clk + replay._latency)
-        assert replay.clk.shape == (4, len(grid))
+        c = replay.counters
+        values = replay.clk + c.compute + c.latency + c.bandwidth + c.wait
+        assert len(replay.clk) == 4
+        assert all(type(v) is float for v in values)

@@ -3,6 +3,7 @@ degenerate traces (Hypothesis), deadlock diagnostics and the
 ``cheapest_meeting`` boundary regression."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machines import CIELITO, EDISON
-from repro.mfact import ConfigGrid, ReplayDeadlockError, model_trace
+from repro.mfact import ReplayDeadlockError, model_trace
 from repro.mfact.classify import AppClass
 from repro.mfact.logical_clock import LogicalClockReplay
 from repro.mfact.whatif import DesignPoint, DesignSpaceResult
@@ -63,10 +64,8 @@ class TestGraphFidelity:
         for lat_f, bw_f in ((4.0, 1.0), (1.0, 0.25), (8.0, 0.5)):
             lat = CIELITO.latency * lat_f
             bw = CIELITO.bandwidth * bw_f
-            grid = ConfigGrid([lat], [bw], [CIELITO.compute_scale])
-            replayed = float(
-                LogicalClockReplay(trace, CIELITO, grid).run().total_time[0]
-            )
+            point = replace(CIELITO, latency=lat, bandwidth=bw)
+            replayed = LogicalClockReplay(trace, point).run().baseline_total_time
             tape = float(graph.evaluate(lat, bw, CIELITO.compute_scale)[0])
             assert tape == pytest.approx(replayed, rel=1e-9)
 

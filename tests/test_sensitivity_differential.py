@@ -2,9 +2,9 @@
 brute-force replays, across the seeded mini-corpus.
 
 ``replayed_design_space`` is the what-if oracle: one MFACT replay per
-compute factor, with the bandwidth and latency axes on the replay's
-vectorized grid, which ``explore_design_space``'s tape pricing must
-match point for point.
+grid point, on the machine with that point's latency, bandwidth and
+compute scale, which ``explore_design_space``'s tape pricing must match
+point for point.
 
 The sensitivity package documents a ``1e-6`` relative agreement band
 between tape evaluation and a real replay; this suite holds the much
@@ -13,12 +13,13 @@ the recorder (a missing edge, a mis-folded cost) fails loudly rather
 than hiding inside the documented band.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.pipeline import SIM_MODELS, measure_trace
 from repro.machines.presets import get_machine
-from repro.mfact.hockney import ConfigGrid
 from repro.mfact.logical_clock import LogicalClockReplay
 from repro.mfact.whatif import DesignPoint, DesignSpaceResult, explore_design_space
 from repro.sensitivity import bandwidth_curve, latency_curve, record_graph
@@ -36,24 +37,21 @@ COMPUTE_FACTORS = (1.0, 10.0)
 def replayed_design_space(
     trace, machine, bandwidth_factors, latency_factors, compute_factors
 ):
-    """Price the grid with one replay per compute factor (the oracle)."""
+    """Price the grid with one replay per point (the oracle)."""
     points, totals, baseline_index = [], [], None
     for cf in compute_factors:
-        lats, bws, scales = [], [], []
         for lf in latency_factors:
             for bf in bandwidth_factors:
-                lats.append(machine.latency / lf)
-                bws.append(machine.bandwidth * bf)
-                scales.append(machine.compute_scale / cf)
-        report = LogicalClockReplay(trace, machine, ConfigGrid(lats, bws, scales)).run()
-        i = 0
-        for lf in latency_factors:
-            for bf in bandwidth_factors:
+                point = replace(
+                    machine,
+                    latency=machine.latency / lf,
+                    bandwidth=machine.bandwidth * bf,
+                    compute_scale=machine.compute_scale / cf,
+                )
                 points.append(DesignPoint(bf, lf, cf))
-                totals.append(float(report.total_time[i]))
+                totals.append(LogicalClockReplay(trace, point).run().baseline_total_time)
                 if bf == 1.0 and lf == 1.0 and cf == 1.0:
                     baseline_index = len(points) - 1
-                i += 1
     assert baseline_index is not None
     return DesignSpaceResult(
         machine=machine,
@@ -118,28 +116,16 @@ class TestCurveFidelity:
         for trace, machine in corpus:
             graph, _ = record_graph(trace, machine)
             for factor, total in latency_curve(graph, machine, (1.0, 4.0, 64.0)):
-                grid = ConfigGrid(
-                    [machine.latency * factor],
-                    [machine.bandwidth],
-                    [machine.compute_scale],
-                )
-                replayed = float(
-                    LogicalClockReplay(trace, machine, grid).run().total_time[0]
-                )
+                point = replace(machine, latency=machine.latency * factor)
+                replayed = LogicalClockReplay(trace, point).run().baseline_total_time
                 assert total == pytest.approx(replayed, rel=REL_BAND)
 
     def test_bandwidth_curve_matches_per_point_replays(self, corpus):
         trace, machine = corpus[0]
         graph, _ = record_graph(trace, machine)
         for factor, total in bandwidth_curve(graph, machine, (0.125, 1.0, 8.0)):
-            grid = ConfigGrid(
-                [machine.latency],
-                [machine.bandwidth * factor],
-                [machine.compute_scale],
-            )
-            replayed = float(
-                LogicalClockReplay(trace, machine, grid).run().total_time[0]
-            )
+            point = replace(machine, bandwidth=machine.bandwidth * factor)
+            replayed = LogicalClockReplay(trace, point).run().baseline_total_time
             assert total == pytest.approx(replayed, rel=REL_BAND)
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 
 from repro.machines import CIELITO
 from repro.machines.presets import get_machine
-from repro.mfact import ConfigGrid, LogicalClockReplay
+from repro.mfact import LogicalClockReplay
 from repro.sensitivity import analysis
 from repro.sensitivity import graph as graph_mod
 from repro.sensitivity.graph import CriticalPath, DependencyGraph, GraphRecorder
@@ -147,7 +147,7 @@ def oracle_of(graph):
 
 def recorded(trace, machine):
     recorder = GraphRecorder(trace.nranks, machine)
-    LogicalClockReplay(trace, machine, ConfigGrid.single(machine), recorder=recorder).run()
+    LogicalClockReplay(trace, machine, recorder=recorder).run()
     return recorder.finish()
 
 

@@ -17,7 +17,7 @@ from repro import obs
 from repro.core.enhanced_mfact import EnhancedMFACT
 from repro.core.pipeline import measure_trace
 from repro.machines import CIELITO, EDISON
-from repro.mfact import ConfigGrid, LogicalClockReplay, explore_design_space, model_trace
+from repro.mfact import ConfigGrid, explore_design_space, model_trace
 from repro.sensitivity import analysis
 from repro.sensitivity.analysis import (
     TRACE_MODEL_MEMO_SIZE,
@@ -26,7 +26,6 @@ from repro.sensitivity.analysis import (
     record_graph,
     trace_model,
 )
-from repro.sensitivity.graph import GraphRecorder
 from repro.stats.logistic import LogisticModel
 from repro.workloads import generate_npb, synthesize_ground_truth
 
@@ -74,10 +73,8 @@ def enhanced():
 
 
 def fresh(trace, machine):
-    """An unmemoized sweep replay with a recorder: (graph, report)."""
-    recorder = GraphRecorder(trace.nranks, machine)
-    report = LogicalClockReplay(trace, machine, recorder=recorder).run()
-    return recorder.finish(), report
+    """An unmemoized trace model: (graph, report)."""
+    return record_graph(trace, machine)
 
 
 class TestOneReplay:
@@ -114,6 +111,20 @@ class TestOneReplay:
         assert len(analysis._memo) == 0
 
 
+class TestMFACTWalltime:
+    def test_walltime_covers_replay_sealing_and_pricing(self):
+        """A record's MFACT time is the replay, sealing its tape and
+        pricing the sweep off it, not the replay alone."""
+        record = measure_trace(cg(), engines=())
+        spans = obs.snapshot().spans
+        steps = [spans[f"mfact/{name}"] for name in ("replay", "sensitivity_graph",
+                                                      "sensitivity_solve")]
+        assert [step["count"] for step in steps] == [1, 1, 1]
+        inner = sum(step["total_seconds"] for step in steps)
+        assert inner <= record.mfact.walltime <= spans["mfact"]["total_seconds"]
+        assert record.mfact.walltime > spans["mfact/replay"]["total_seconds"]
+
+
 class TestMisses:
     def test_in_place_restamp_misses(self):
         trace = cg(seed=3)
@@ -135,12 +146,16 @@ class TestMisses:
         assert counters() == (2, 0, 2)
         assert trace_model(trace, EDISON)[1].machine == EDISON.name
 
-    def test_explicit_grid_bypasses_the_memo(self):
+    def test_explicit_grid_is_priced_off_the_model(self):
         trace = cg()
-        model_trace(trace, CIELITO, grid=ConfigGrid.sweep(CIELITO))
-        model_trace(trace, CIELITO, grid=ConfigGrid.single(CIELITO))
-        assert counters() == (2, 0, 0)
-        assert len(analysis._memo) == 0
+        sweep = model_trace(trace, CIELITO, grid=ConfigGrid.sweep(CIELITO))
+        single = model_trace(trace, CIELITO, grid=ConfigGrid.single(CIELITO))
+        assert counters() == (1, 1, 1)
+        assert len(analysis._memo) == 1
+        shared = model_trace(trace, CIELITO)
+        assert np.array_equal(sweep.total_time, shared.total_time)
+        assert single.total_time.tolist() == [shared.baseline_total_time]
+        assert single.walltime > shared.walltime
 
     def test_record_graph_always_replays(self):
         trace = cg()
